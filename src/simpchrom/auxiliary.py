@@ -6,14 +6,15 @@ with one fewer element.  When the sizing identity |union sigma_I| - c(I) =
 the reversed Hilbert numerator of the auxiliary complex T whose minimal
 nonfaces are the alpha_i.  The checks below measure that identity, the
 intersection condition that is supposed to imply it, and the two lift
-constructions that manufacture complexes satisfying it.
+constructions that manufacture complexes satisfying it.  All their subset
+scans, and the backtracking alpha search, run on one depth-first walker
+that carries the unions and components of sigma_I as bitmasks and reports
+the smallest failing I, first in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import prod
 
 from .complexes import NonfaceFamily, SimplicialComplex, fresh_label
 from .chromatic import chromatic_polynomial
@@ -25,7 +26,7 @@ LITERAL = "literal"
 STRICT = "strict"
 
 SUBSET_SCAN_LIMIT = 20
-SEARCH_SPACE_LIMIT = 10 ** 6
+SEARCH_NODE_LIMIT = 10 ** 7  # walker nodes, about 10 s at ~1 us per node
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,55 @@ class AlphaAssignment:
         return tuple(a for _, a in self.pairs)
 
 
-def _union(sets, idx) -> frozenset:
-    out = frozenset()
-    for i in idx:
-        out |= sets[i]
-    return out
+def _bitmasks(*families) -> list[list[int]]:
+    """Label sets as bitmasks over one shared label index; no set repeats a
+    label, so the sum of its bits is their union."""
+    bit = {}
+    return [[sum(bit.setdefault(x, 1 << len(bit)) for x in s) for s in sets]
+            for sets in families]
 
 
-def _subsets_by_size(r: int, smallest: int = 1):
-    for k in range(smallest, r + 1):
-        yield from combinations(range(r), k)
+def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
+    """Witness of the smallest, lexicographically first failing I = start + J.
+
+    J runs over the nonempty subsets of range(len(sigmas)) in depth-first
+    preorder, which lists each size in lexicographic order.  start, and the
+    state passed to visit, is (index bitmask, sigma union, alpha union,
+    components of sigma_I); visit returns a witness or a falsy value.
+    After a witness only smaller sets are visited.
+    """
+    r = len(sigmas)
+    cap = start[0].bit_count() + r + 1
+    found = None
+
+    def rec(lo, idx, sig, alf, comps):
+        nonlocal cap, found
+        size = idx.bit_count() + 1
+        for j in range(lo, r):
+            if size >= cap:
+                return
+            g = sigmas[j]
+            merged = g
+            rest = []
+            for cm in comps:
+                if cm & g:
+                    merged |= cm
+                else:
+                    rest.append(cm)
+            rest.append(merged)
+            nidx, nsig, nalf = idx | 1 << j, sig | g, alf | alphas[j]
+            witness = visit(nidx, nsig, nalf, rest)
+            if witness:
+                found, cap = witness, size
+            elif size + 1 < cap:
+                rec(j + 1, nidx, nsig, nalf, rest)
+
+    rec(0, *start)
+    return found
+
+
+def _names(idx: int, sets) -> list:
+    return [sorted(s) for i, s in enumerate(sets) if idx >> i & 1]
 
 
 def check_intersection_property(assign: AlphaAssignment,
@@ -84,42 +124,26 @@ def check_intersection_property(assign: AlphaAssignment,
     if mode not in (LITERAL, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
     sigmas, alphas = assign.sigmas, assign.alphas
-    r = len(assign)
-    for idx in _subsets_by_size(r):
-        sig_i = _union(sigmas, idx)
-        alf_i = _union(alphas, idx)
-        members = set(idx)
-        for p in range(r):
-            if p in members:
+    sig_masks, alf_masks = _bitmasks(sigmas, alphas)
+
+    def visit(idx, sig, alf, comps):
+        for p, (sp, ap) in enumerate(zip(sig_masks, alf_masks)):
+            if idx >> p & 1:
                 continue
-            inter_s = sig_i & sigmas[p]
-            inter_a = alf_i & alphas[p]
-            if not inter_s:
-                if inter_a:
-                    return report(
-                        "intersection_property", False,
-                        witness={"I": _names(sigmas, idx), "p": _name(sigmas[p]),
-                                 "clause": "disjointness",
-                                 "alpha_overlap": sorted(inter_a)},
-                        mode=mode)
-            elif mode == STRICT or len(idx) >= 2:
-                if len(inter_a) != len(inter_s) - 1:
-                    return report(
-                        "intersection_property", False,
-                        witness={"I": _names(sigmas, idx), "p": _name(sigmas[p]),
-                                 "clause": "cardinality",
-                                 "alpha_intersection": len(inter_a),
-                                 "sigma_intersection": len(inter_s)},
-                        mode=mode)
-    return report("intersection_property", True, mode=mode)
+            inter_s, inter_a = sig & sp, alf & ap
+            if not inter_s and inter_a:
+                overlap = set().union(*_names(idx, alphas)) & alphas[p]
+                return {"I": _names(idx, sigmas), "p": sorted(sigmas[p]),
+                        "clause": "disjointness", "alpha_overlap": sorted(overlap)}
+            if inter_s and (mode == STRICT or idx & (idx - 1)) and (
+                    inter_a.bit_count() != inter_s.bit_count() - 1):
+                return {"I": _names(idx, sigmas), "p": sorted(sigmas[p]),
+                        "clause": "cardinality",
+                        "alpha_intersection": inter_a.bit_count(),
+                        "sigma_intersection": inter_s.bit_count()}
 
-
-def _name(s) -> list:
-    return sorted(s)
-
-
-def _names(sets, idx) -> list:
-    return [sorted(sets[i]) for i in idx]
+    found = _walk(sig_masks, alf_masks, visit)
+    return report("intersection_property", not found, witness=found, mode=mode)
 
 
 def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
@@ -128,39 +152,15 @@ def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
     if r > SUBSET_SCAN_LIMIT:
         raise GuardError("assignment_size",
                          f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
-    sigmas, alphas = assign.sigmas, assign.alphas
-    overlap = [[bool(sigmas[i] & sigmas[j]) for j in range(r)] for i in range(r)]
-    for idx in _subsets_by_size(r):
-        c = _component_count_indices(idx, overlap)
-        lhs = len(_union(sigmas, idx)) - c
-        rhs = len(_union(alphas, idx))
-        if lhs != rhs:
-            return report(
-                "target_invariant", False,
-                witness={"I": _names(sigmas, idx), "sigma_union_size":
-                         len(_union(sigmas, idx)), "components": c,
-                         "alpha_union_size": rhs},
-            )
-    return report("target_invariant", True)
 
+    def visit(idx, sig, alf, comps):
+        if sig.bit_count() - len(comps) != alf.bit_count():
+            return {"I": _names(idx, assign.sigmas),
+                    "sigma_union_size": sig.bit_count(), "components": len(comps),
+                    "alpha_union_size": alf.bit_count()}
 
-def _component_count_indices(idx, overlap) -> int:
-    idx = list(idx)
-    parent = {i: i for i in idx}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if overlap[idx[a]][idx[b]]:
-                ra, rb = find(idx[a]), find(idx[b])
-                if ra != rb:
-                    parent[rb] = ra
-    return len({find(i) for i in idx})
+    found = _walk(*_bitmasks(assign.sigmas, assign.alphas), visit)
+    return report("target_invariant", not found, witness=found)
 
 
 def is_apex_assignment(assign: AlphaAssignment) -> bool:
@@ -184,22 +184,40 @@ def search_alpha(family: NonfaceFamily) -> AlphaAssignment | None:
 
     Candidates for each alpha_i are the subsets of sigma_i with one element
     removed, tried in lexicographic order; returns None when no combination
-    passes (NOT_FOUND is a value, not an error).
+    passes (NOT_FOUND is a value, not an error).  After fixing alpha_i the
+    search walks the subsets whose largest index is i and backtracks at the
+    first failure, so it returns the first passing assignment in product
+    order.  Every subset walked counts against SEARCH_NODE_LIMIT.
     """
-    gens = [tuple(g) for g in family.generators]
-    if gens and prod(len(g) for g in gens) > SEARCH_SPACE_LIMIT:
-        raise GuardError("search_space",
-                         f"product of generator sizes exceeds {SEARCH_SPACE_LIMIT}")
-    candidate_lists = [
-        sorted((tuple(sorted(set(g) - {x})) for x in g))
-        for g in gens
-    ]
-    for choice in product(*candidate_lists):
-        assign = AlphaAssignment(tuple(
-            (frozenset(g), frozenset(a)) for g, a in zip(gens, choice)))
-        if check_target_invariant(assign).passed:
-            return assign
-    return None
+    gens = family.generators
+    r = len(gens)
+    if r > SUBSET_SCAN_LIMIT:
+        raise GuardError("assignment_size",
+                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
+    candidates = [sorted(tuple(sorted(set(g) - {x})) for x in g) for g in gens]
+    sigmas, *candidate_masks = _bitmasks(gens, *candidates)
+    alphas, chosen, nodes = [0] * r, [()] * r, 0
+
+    def fails(idx, sig, alf, comps):
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_LIMIT:
+            raise GuardError("search_nodes", f"alpha search visited {nodes} "
+                             f"subsets, past the {SEARCH_NODE_LIMIT} node limit")
+        return sig.bit_count() - len(comps) != alf.bit_count()
+
+    def place(i):
+        if i == r:
+            return True
+        for m, a in zip(candidate_masks[i], candidates[i]):
+            alphas[i], chosen[i] = m, a
+            # I = {i} holds by construction: |alpha_i| = |sigma_i| - 1
+            start = (1 << i, sigmas[i], m, [sigmas[i]])
+            if not _walk(sigmas[:i], alphas[:i], fails, start) and place(i + 1):
+                return True
+        return False
+
+    return AlphaAssignment(tuple(zip(gens, chosen))) if place(0) else None
 
 
 def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
@@ -297,14 +315,15 @@ def verify_constant_component(S: SimplicialComplex, a: int) -> CheckReport:
         raise GuardError("nonface_count",
                          f"{r} nonfaces exceed the {SUBSET_SCAN_LIMIT} scan limit")
     sets = gens.as_sets()
-    overlap = [[bool(sets[i] & sets[j]) for j in range(r)] for i in range(r)]
-    for idx in _subsets_by_size(r):
-        c = _component_count_indices(idx, overlap)
-        if c != a:
-            return report(
-                "constant_component", False,
-                witness={"I": _names(sets, idx), "components": c, "expected": a},
-                a=a, identity_checked=False)
+
+    def visit(idx, sig, alf, comps):
+        if len(comps) != a:
+            return {"I": _names(idx, sets), "components": len(comps), "expected": a}
+
+    found = _walk(S.minimal_nonface_masks, [0] * r, visit)
+    if found:
+        return report("constant_component", False, witness=found,
+                      a=a, identity_checked=False)
     lhs = chromatic_polynomial(S) - IntPolynomial.monomial(S.n)
     k = numerator_by_inclusion_exclusion(gens).poly
     rhs = reciprocal(k, S.n + a) - IntPolynomial.monomial(S.n + a)
@@ -326,8 +345,7 @@ def hilbert_polynomial_window(S: SimplicialComplex, a: int):
     pre = verify_constant_component(S, a)
     if not pre.details.get("identity_checked", False):
         raise ValueError(f"constant-component check fails for a = {a}: {pre.witness}")
-    k = numerator_by_inclusion_exclusion(S.minimal_nonfaces()).poly
-    window = IntPolynomial(k.coeffs[a:]) if k.degree >= a else IntPolynomial.zero()
+    window = IntPolynomial(pre.details["numerator"][a:])
     if window.is_zero():
         rep = CheckReport("hilbert_window", NOT_APPLICABLE, None,
                           {"a": a, "window": [], "reason": "empty window"})
@@ -339,5 +357,5 @@ def hilbert_polynomial_window(S: SimplicialComplex, a: int):
         "hilbert_window", criterion.verdict, criterion.witness,
         {"a": a, "window": list(window.coeffs),
          "hypotheses_hold": hypotheses,
-         "numerator": list(k.coeffs)})
+         "numerator": pre.details["numerator"]})
     return window, rep

@@ -1,16 +1,18 @@
 """Companion-set checks, alpha search, lifts, and the reversed-numerator identity."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
+from simpchrom import auxiliary
 from simpchrom.auxiliary import (AlphaAssignment, LITERAL, STRICT,
                                  auxiliary_complex, check_intersection_property,
                                  check_target_invariant, hilbert_polynomial_window,
                                  is_apex_assignment, lift_disjoint, lift_with_apex,
                                  search_alpha, verify_constant_component,
                                  verify_main_theorem)
-from simpchrom.chromatic import chromatic_polynomial
+from simpchrom.chromatic import chromatic_polynomial, component_count
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex, points_complex
 from simpchrom.hilbert import numerator_by_inclusion_exclusion
 from simpchrom.polynomials import IntPolynomial, reciprocal
@@ -319,3 +321,146 @@ def test_target_invariant_guard():
     pairs = tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(21))
     with pytest.raises(GuardError):
         check_target_invariant(AlphaAssignment(pairs))
+
+
+def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
+    # 4^11 candidate combinations, but the first candidate passes at every
+    # level, so the search walks only 2^11 - 1 subsets
+    family = NonfaceFamily(tuple(
+        tuple(f"{c}{i:02d}" for c in "wxyz") for i in range(11)))
+    found = search_alpha(family)
+    assert [sorted(a) for a in found.alphas] == [
+        [f"w{i:02d}", f"x{i:02d}", f"y{i:02d}"] for i in range(11)]
+    monkeypatch.setattr(auxiliary, "SEARCH_NODE_LIMIT", 100)
+    with pytest.raises(GuardError, match="visited 101 subsets.*100 node limit") as exc:
+        search_alpha(family)
+    assert exc.value.limit == "search_nodes"
+
+
+# -- brute-force references: every subset, by size then lexicographically --
+
+def first_failure(r, fails):
+    for k in range(1, r + 1):
+        for idx in combinations(range(r), k):
+            witness = fails(idx)
+            if witness is not None:
+                return witness
+    return None
+
+
+def union(sets):
+    return frozenset().union(*sets)
+
+
+def brute_target_invariant(assign):
+    sigmas, alphas = assign.sigmas, assign.alphas
+
+    def fails(idx):
+        chosen = [sigmas[i] for i in idx]
+        sig, alf, c = union(chosen), union(alphas[i] for i in idx), component_count(chosen)
+        if len(sig) - c != len(alf):
+            return {"I": [sorted(s) for s in chosen], "sigma_union_size": len(sig),
+                    "components": c, "alpha_union_size": len(alf)}
+
+    return first_failure(len(assign), fails)
+
+
+def brute_intersection_property(assign, mode):
+    sigmas, alphas = assign.sigmas, assign.alphas
+
+    def fails(idx):
+        sig, alf = union(sigmas[i] for i in idx), union(alphas[i] for i in idx)
+        head = {"I": [sorted(sigmas[i]) for i in idx]}
+        for p in range(len(assign)):
+            if p in idx:
+                continue
+            inter_s, inter_a = sig & sigmas[p], alf & alphas[p]
+            if not inter_s:
+                if inter_a:
+                    return {**head, "p": sorted(sigmas[p]), "clause": "disjointness",
+                            "alpha_overlap": sorted(inter_a)}
+            elif (mode == STRICT or len(idx) >= 2) and len(inter_a) != len(inter_s) - 1:
+                return {**head, "p": sorted(sigmas[p]), "clause": "cardinality",
+                        "alpha_intersection": len(inter_a),
+                        "sigma_intersection": len(inter_s)}
+
+    return first_failure(len(assign), fails)
+
+
+def brute_constant_component(S, a):
+    sets = S.minimal_nonfaces().as_sets()
+
+    def fails(idx):
+        c = component_count([sets[i] for i in idx])
+        if c != a:
+            return {"I": [sorted(sets[i]) for i in idx], "components": c, "expected": a}
+
+    return first_failure(len(sets), fails)
+
+
+def brute_search_alpha(family):
+    gens = family.as_sets()
+    candidates = [sorted(tuple(sorted(g - {x})) for x in g) for g in gens]
+    for choice in product(*candidates):
+        assign = AlphaAssignment(tuple(
+            (g, frozenset(a)) for g, a in zip(gens, choice)))
+        if brute_target_invariant(assign) is None:
+            return assign
+    return None
+
+
+def random_remove_one(rng, S):
+    return AlphaAssignment(tuple(
+        (g, g - {rng.choice(sorted(g))}) for g in S.minimal_nonfaces().as_sets()))
+
+
+def random_companions(rng, S):
+    # alpha_i need not lie inside sigma_i, so the disjointness clause can fail
+    return AlphaAssignment(tuple(
+        (g, frozenset(rng.sample(S.vertices, len(g) - 1)))
+        for g in S.minimal_nonfaces().as_sets()))
+
+
+def test_scans_report_the_smallest_lexicographically_first_witness():
+    # remove-one assignments on 300 intersecting and 100 unconstrained
+    # families; the unconstrained ones also get random companion sets, which
+    # reach the disjointness clause
+    rng = random.Random(309)
+    failing, kinds = 0, set()
+    for k in range(400):
+        sample = random_intersecting_complex if k % 4 else random_complex
+        S = sample(rng, n_max=8, r_max=6)
+        assigns = [random_remove_one(rng, S)]
+        if sample is random_complex:
+            assigns.append(random_companions(rng, S))
+        for assign in assigns:
+            expected = brute_target_invariant(assign)
+            rep = check_target_invariant(assign)
+            assert (rep.passed, rep.witness) == (expected is None, expected)
+            failing += expected is not None
+            for mode in (LITERAL, STRICT):
+                expected = brute_intersection_property(assign, mode)
+                rep = check_intersection_property(assign, mode)
+                assert (rep.passed, rep.witness) == (expected is None, expected)
+                kinds.add(expected and expected["clause"])
+        expected = brute_constant_component(S, 1)
+        rep = verify_constant_component(S, 1)
+        if expected is None:
+            assert rep.details["identity_checked"] and rep.passed
+        else:
+            assert rep.witness == expected and not rep.details["identity_checked"]
+            kinds.add("constant_component")
+    assert failing >= 100
+    assert kinds == {None, "disjointness", "cardinality", "constant_component"}
+
+
+def test_search_alpha_returns_the_first_assignment_in_product_order():
+    rng = random.Random(310)
+    outcomes = set()
+    for k in range(60):
+        sample = random_intersecting_complex if k % 4 else random_complex
+        family = sample(rng, n_max=7, r_max=6).minimal_nonfaces()
+        found = search_alpha(family)
+        assert found == brute_search_alpha(family)
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
