@@ -20,7 +20,7 @@ from .cyclotomic import (CyclotomicSpec, build_residue_subcomplex,
                          check_constant_term_detection, check_cyclotomic_homology,
                          cyclotomic_polynomial, facet_of_residue,
                          group_join_complex)
-from .hilbert import (HVector, KPolynomial, f_from_h, h_from_f, h_vector,
+from .hilbert import (HVector, f_from_h, h_from_f, h_vector,
                       numerator_by_inclusion_exclusion, numerator_from_h,
                       series_coefficients, standard_monomial_count)
 from .homology import (IntegerMatrix, boundary_matrix, reduced_homology,

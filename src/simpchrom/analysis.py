@@ -52,7 +52,7 @@ def _chromatic_if_possible(S, assign):
         if not valid:
             return None, "assignment fails the target invariant"
         T = auxiliary_complex(assign)
-        k_t = numerator_from_h(T).poly  # h-route scales past the 2^r guard
+        k_t = numerator_from_h(T)  # h-route scales past the 2^r guard
         return reciprocal(k_t, S.n), "identity"
     if len(S.minimal_nonface_masks) <= NONFACE_LIMIT:
         return chromatic_polynomial(S), "direct"
@@ -130,7 +130,7 @@ def reciprocity_report(S: SimplicialComplex, assign: AlphaAssignment) -> CheckRe
         raise ValueError("the reversed-numerator identity fails for this "
                          "assignment; reciprocity is undefined")
     T = auxiliary_complex(assign)
-    k_t = numerator_by_inclusion_exclusion(T.minimal_nonfaces()).poly
+    k_t = numerator_by_inclusion_exclusion(T.minimal_nonfaces())
     chi_c = reciprocal(k_t, S.n)
     d_t = T.dimension + 1
     sign = (-1) ** (T.n - d_t)

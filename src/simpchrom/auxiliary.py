@@ -279,7 +279,7 @@ def verify_main_theorem(S: SimplicialComplex, assign: AlphaAssignment) -> CheckR
         raise ValueError("assignment sigmas differ from the minimal nonfaces of S")
     lhs = chromatic_polynomial(S)
     T = auxiliary_complex(assign)
-    k_t = numerator_by_inclusion_exclusion(T.minimal_nonfaces()).poly
+    k_t = numerator_by_inclusion_exclusion(T.minimal_nonfaces())
     h_t = h_vector(T)
     reversed_lhs = reciprocal(lhs, S.n)
     check_a = reversed_lhs == k_t
@@ -325,7 +325,7 @@ def verify_constant_component(S: SimplicialComplex, a: int) -> CheckReport:
         return report("constant_component", False, witness=found,
                       a=a, identity_checked=False)
     lhs = chromatic_polynomial(S) - IntPolynomial.monomial(S.n)
-    k = numerator_by_inclusion_exclusion(gens).poly
+    k = numerator_by_inclusion_exclusion(gens)
     rhs = reciprocal(k, S.n + a) - IntPolynomial.monomial(S.n + a)
     ok = lhs == rhs
     return report(

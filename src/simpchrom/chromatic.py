@@ -244,14 +244,6 @@ def _remap(mask, old_to_new):
     return out
 
 
-def add_nonface_as_face(S: SimplicialComplex, sigma) -> SimplicialComplex:
-    """The complex S with the minimal nonface sigma adjoined as a face."""
-    sig = S.mask_of(sigma)
-    if sig not in S.minimal_nonface_masks:
-        raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
-    return S.add_face(sigma)
-
-
 def verify_addition_contraction(S: SimplicialComplex, sigma,
                                 convention: str = MERGE_VERTEX) -> CheckReport:
     """Residual of the addition-contraction relation, per convention.
@@ -263,8 +255,10 @@ def verify_addition_contraction(S: SimplicialComplex, sigma,
     """
     if convention not in (REMOVE_ONLY, MERGE_VERTEX):
         raise ValueError(f"unknown contraction convention {convention!r}")
+    if S.mask_of(sigma) not in S.minimal_nonface_masks:
+        raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
     base = chromatic_polynomial(S)
-    added = chromatic_polynomial(add_nonface_as_face(S, sigma))
+    added = chromatic_polynomial(S.add_face(sigma))
     residuals = {}
     for conv in (MERGE_VERTEX, REMOVE_ONLY):
         contracted = chromatic_polynomial(tidied_contraction(S, sigma, conv))

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 from . import __version__
 from .analysis import (dehn_sommerville_check, log_concavity_report,
@@ -37,12 +38,6 @@ from .sweep import CSV_COLUMNS, run_sweep
 SIGN_CONVENTION = "direct_inclusion_exclusion"
 
 
-def _conventions(**extra) -> dict:
-    out = {"sign_convention": SIGN_CONVENTION}
-    out.update(extra)
-    return out
-
-
 def _parse_nonface(text: str) -> list[str]:
     parts = [p for p in text.split(",") if p]
     if not parts:
@@ -58,22 +53,21 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _alpha_for(args, S):
-    if getattr(args, "alpha", None):
+    if args.alpha:
         return load_alpha(args.alpha)
-    if getattr(args, "search", False):
-        assign = search_alpha(S.minimal_nonfaces())
-        if assign is None:
-            return None
-        return assign
+    if args.search:
+        return search_alpha(S.minimal_nonfaces())
     raise InputError("--alpha", "provide --alpha FILE or --search")
 
+
+# Each command returns the body of its JSON report; main adds "command" and
+# merges the optional "conventions" entry into the shared conventions.
 
 def cmd_chromatic(args):
     S, kind = load_complex_or_graph(args.complex)
     p = chromatic_polynomial(S)
     return {
-        "command": "chromatic",
-        "conventions": _conventions(input=kind),
+        "conventions": {"input": kind},
         "polynomial": poly_to_data(p),
         "pretty": format_poly(p),
         "n": S.n,
@@ -83,32 +77,21 @@ def cmd_chromatic(args):
 
 def cmd_oracle_count(args):
     S = load_complex(args.complex)
-    return {
-        "command": "oracle-count",
-        "conventions": _conventions(),
-        "q": args.q,
-        "count": finite_model_count(S, args.q),
-    }
+    return {"q": args.q, "count": finite_model_count(S, args.q)}
 
 
 def cmd_verify_ac(args):
     S = load_complex(args.complex)
     convention = MERGE_VERTEX if args.convention == "merge" else REMOVE_ONLY
     rep = verify_addition_contraction(S, _parse_nonface(args.nonface), convention)
-    return {
-        "command": "verify-ac",
-        "conventions": _conventions(contraction=convention),
-        "report": rep.to_dict(),
-    }
+    return {"conventions": {"contraction": convention}, "report": rep.to_dict()}
 
 
 def cmd_hilbert(args):
     S = load_complex(args.complex)
-    k = numerator_by_inclusion_exclusion(S.minimal_nonfaces()).poly
+    k = numerator_by_inclusion_exclusion(S.minimal_nonfaces())
     h = h_vector(S)
     out = {
-        "command": "hilbert",
-        "conventions": _conventions(),
         "numerator": poly_to_data(k),
         "numerator_pretty": format_poly(k),
         "h_vector": list(h.entries),
@@ -125,31 +108,21 @@ def cmd_hilbert(args):
     return out
 
 
-def cmd_verify_theorem(args):
+def cmd_alpha_check(args, check):
+    """verify-theorem and reciprocity: run check on S and its assignment."""
     S = load_complex(args.complex)
     assign = _alpha_for(args, S)
     if assign is None:
-        return {
-            "command": "verify-theorem",
-            "conventions": _conventions(),
-            "alpha": None,
-            "search": "NOT_FOUND",
-        }
-    rep = verify_main_theorem(S, assign)
-    return {
-        "command": "verify-theorem",
-        "conventions": _conventions(),
-        "alpha": alpha_to_data(assign),
-        "report": rep.to_dict(),
-    }
+        return {"alpha": None, "search": "NOT_FOUND"}
+    rep = check(S, assign)
+    return {"alpha": alpha_to_data(assign), "report": rep.to_dict()}
 
 
 def cmd_lift(args):
     T = load_complex(args.complex)
     S, assign = lift_with_apex(T) if args.mode == "apex" else lift_disjoint(T)
     return {
-        "command": "lift",
-        "conventions": _conventions(lift_mode=args.mode),
+        "conventions": {"lift_mode": args.mode},
         "complex": complex_to_data(S),
         "alpha": alpha_to_data(assign),
     }
@@ -158,30 +131,19 @@ def cmd_lift(args):
 def cmd_verify_cc(args):
     S = load_complex(args.complex)
     rep = verify_constant_component(S, args.a)
-    return {
-        "command": "verify-cc",
-        "conventions": _conventions(),
-        "report": rep.to_dict(),
-    }
+    return {"report": rep.to_dict()}
 
 
 def cmd_hilb_window(args):
     S = load_complex(args.complex)
     window, rep = hilbert_polynomial_window(S, args.a)
-    return {
-        "command": "hilb-window",
-        "conventions": _conventions(),
-        "window": poly_to_data(window),
-        "report": rep.to_dict(),
-    }
+    return {"window": poly_to_data(window), "report": rep.to_dict()}
 
 
 def cmd_homology(args):
     S = load_complex(args.complex)
     hom = reduced_homology(S)
     return {
-        "command": "homology",
-        "conventions": _conventions(),
         "table": [{"degree": k, "betti": rank, "torsion": list(torsion)}
                   for k, (rank, torsion) in sorted(hom.items())],
     }
@@ -190,8 +152,6 @@ def cmd_homology(args):
 def cmd_cyclo_poly(args):
     p = cyclotomic_polynomial(args.n)
     return {
-        "command": "cyclo-poly",
-        "conventions": _conventions(),
         "n": args.n,
         "polynomial": poly_to_data(p),
         "pretty": format_poly(p, var="x"),
@@ -199,71 +159,31 @@ def cmd_cyclo_poly(args):
 
 
 def cmd_cyclo_check(args):
-    labeling = args.labeling  # None = sweep (cycltop) / zero-based (cyclcheck)
-    spec = CyclotomicSpec(_parse_primes(args.primes),
-                          ONE_BASED if labeling == "one" else ZERO_BASED)
-    if args.mode == "cycltop":
-        labelings = (spec.labeling,) if labeling else (ZERO_BASED, ONE_BASED)
-        rep = check_cyclotomic_homology(spec, args.j, labelings)
-        swept = list(labelings)
-    else:
-        rep = check_constant_term_detection(spec, args.j)
-        swept = [spec.labeling]
-    return {
-        "command": "cyclo-check",
-        "conventions": _conventions(labeling=swept, mode=args.mode),
-        "report": rep.to_dict(),
-    }
+    spec = CyclotomicSpec(_parse_primes(args.primes), args.labeling)
+    check = (check_cyclotomic_homology if args.mode == "cycltop"
+             else check_constant_term_detection)
+    rep = check(spec, args.j)
+    return {"conventions": {"labeling": spec.labeling, "mode": args.mode},
+            "report": rep.to_dict()}
 
 
 def cmd_logconcavity(args):
     S = load_complex(args.complex)
     assign = load_alpha(args.alpha) if args.alpha else None
     rep = log_concavity_report(S, assign, absolute=args.absolute)
-    return {
-        "command": "logconcavity",
-        "conventions": _conventions(
-            log_concavity_mode="absolute" if args.absolute else "literal"),
-        "report": rep.to_dict(),
-    }
+    mode = "absolute" if args.absolute else "literal"
+    return {"conventions": {"log_concavity_mode": mode}, "report": rep.to_dict()}
 
 
 def cmd_dehn_sommerville(args):
     S = load_complex(args.complex)
     rep = dehn_sommerville_check(S)
-    return {
-        "command": "dehn-sommerville",
-        "conventions": _conventions(),
-        "report": rep.to_dict(),
-    }
-
-
-def cmd_reciprocity(args):
-    S = load_complex(args.complex)
-    assign = _alpha_for(args, S)
-    if assign is None:
-        return {
-            "command": "reciprocity",
-            "conventions": _conventions(),
-            "alpha": None,
-            "search": "NOT_FOUND",
-        }
-    rep = reciprocity_report(S, assign)
-    return {
-        "command": "reciprocity",
-        "conventions": _conventions(),
-        "alpha": alpha_to_data(assign),
-        "report": rep.to_dict(),
-    }
+    return {"report": rep.to_dict()}
 
 
 def cmd_uniform(args):
     S = uniform_matroid_complex(args.n, args.r)
-    out = {
-        "command": "uniform",
-        "conventions": _conventions(),
-        "complex": complex_to_data(S, name=f"uniform-{args.n}-{args.r}"),
-    }
+    out = {"complex": complex_to_data(S, name=f"uniform-{args.n}-{args.r}")}
     if args.lift:
         lifted, assign = (lift_with_apex(S) if args.lift == "apex"
                           else lift_disjoint(S))
@@ -283,13 +203,7 @@ def cmd_sweep(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        return {
-            "command": "sweep",
-            "conventions": _conventions(),
-            "seed": args.seed,
-            "rows": len(rows),
-            "out": args.out,
-        }
+        return {"seed": args.seed, "rows": len(rows), "out": args.out}
     return {"raw": text}
 
 
@@ -346,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", type=int, default=None,
                    help="also expand the series to this degree")
 
-    p = add("verify-theorem", cmd_verify_theorem,
+    p = add("verify-theorem", partial(cmd_alpha_check, check=verify_main_theorem),
             "reversed-numerator identity for an alpha assignment")
     p.add_argument("complex")
     p.add_argument("--alpha", help="alpha assignment JSON file")
@@ -377,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True, help="comma-separated primes")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--mode", choices=("cycltop", "cyclcheck"), default="cycltop")
-    p.add_argument("--labeling", choices=("zero", "one"), default=None,
-                   help="restrict to one residue labeling (default: sweep)")
+    p.add_argument("--labeling", choices=(ONE_BASED, ZERO_BASED), default=ONE_BASED,
+                   help="residue labeling (default: one-based)")
 
     p = add("logconcavity", cmd_logconcavity, "log-concavity report")
     p.add_argument("complex")
@@ -389,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dehn-sommerville", cmd_dehn_sommerville, "h-vector palindromicity")
     p.add_argument("complex")
 
-    p = add("reciprocity", cmd_reciprocity, "signed palindrome structure of chi_c")
+    p = add("reciprocity", partial(cmd_alpha_check, check=reciprocity_report),
+            "signed palindrome structure of chi_c")
     p.add_argument("complex")
     p.add_argument("--alpha")
     p.add_argument("--search", action="store_true")
@@ -410,7 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        body = args.func(args)
     except GuardError as exc:
         print(f"guard rejected ({exc.limit}): {exc}", file=sys.stderr)
         return 3
@@ -420,9 +335,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if "raw" in payload:
-        sys.stdout.write(payload["raw"])
-    elif args.pretty:
+    if "raw" in body:
+        sys.stdout.write(body["raw"])
+        return 0
+    payload = {"command": args.subcommand, **body,
+               "conventions": {"sign_convention": SIGN_CONVENTION,
+                               **body.get("conventions", {})}}
+    if args.pretty:
         _print_pretty(payload, sys.stdout)
     else:
         print(json.dumps(payload, sort_keys=True))

@@ -4,8 +4,10 @@ The polynomial oracle multiplies and exactly divides (x^(n/d) - 1) factors
 according to the Moebius function.  The complex builder joins one discrete
 vertex group per prime; facets of the join are transversals and correspond
 to residues mod the product by CRT.  A subcomplex keeps the codimension-one
-skeleton plus a chosen set of facets; which residues the chosen index set
-names is a pluggable labeling convention, and the verifiers sweep it.
+skeleton plus a chosen set of facets.  The chosen index set names residues
+one-based by default: the one labeling under which the homology matches the
+coefficient theorem on every residue checked.  The zero-based labeling stays
+selectable as the recorded counter-example.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import isqrt
 
 from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
-from .homology import reduced_homology
+from .homology import boundary_matrix, reduced_homology, smith_normal_form
 from .polynomials import IntPolynomial, reciprocal
 from .report import CheckReport, GuardError, report
 
@@ -24,7 +26,6 @@ CYCLOTOMIC_LIMIT = 10 ** 6
 
 ZERO_BASED = "zero"
 ONE_BASED = "one"
-LABELINGS = (ZERO_BASED, ONE_BASED)
 
 
 def _is_prime(p: int) -> bool:
@@ -104,7 +105,7 @@ class CyclotomicSpec:
     """Distinct primes p_1 < ... < p_d plus the residue labeling convention."""
 
     primes: tuple[int, ...]
-    labeling: str = ZERO_BASED
+    labeling: str = ONE_BASED
 
     def __post_init__(self):
         ps = tuple(sorted(self.primes))
@@ -115,7 +116,7 @@ class CyclotomicSpec:
                 raise ValueError(f"{p} is not prime")
         if not ps:
             raise ValueError("at least one prime required")
-        if self.labeling not in LABELINGS:
+        if self.labeling not in (ZERO_BASED, ONE_BASED):
             raise ValueError(f"unknown labeling {self.labeling!r}")
         object.__setattr__(self, "primes", ps)
 
@@ -220,51 +221,41 @@ def _expected_homology(spec: CyclotomicSpec, c_j: int) -> dict:
     return out
 
 
-def check_cyclotomic_homology(spec: CyclotomicSpec, j: int,
-                              labelings=LABELINGS) -> CheckReport:
-    """Compare SNF homology of the single-facet subcomplex against the
-    coefficient oracle, under each labeling convention.
-
-    The verdict is PASS when any swept convention reproduces the predicted
-    homology; each convention's actual and expected tables are recorded
-    either way.
-    """
+def check_cyclotomic_homology(spec: CyclotomicSpec, j: int) -> CheckReport:
+    """Compare SNF homology of the single-facet subcomplex, under the spec's
+    residue labeling, against the coefficient oracle."""
     if not 0 <= j <= spec.phi:
         raise ValueError(f"j = {j} outside 0..{spec.phi}")
     c_j = cyclotomic_polynomial(spec.n)[j]
     expected = _expected_homology(spec, c_j)
-    per_convention = {}
-    any_match = False
-    for labeling in labelings:
-        variant = CyclotomicSpec(spec.primes, labeling)
-        T = build_residue_subcomplex(variant, {j})
-        actual = reduced_homology(T)
-        match = all(actual.get(k, (0, ())) == expected[k] for k in expected) \
-            and all(k in expected or actual[k] == (0, ()) for k in actual)
-        any_match = any_match or match
-        per_convention[labeling] = {
-            "actual": {str(k): [r, list(t)] for k, (r, t) in sorted(actual.items())},
-            "match": match,
-            "facet_count": len(T.facet_masks),
-        }
+    T = build_residue_subcomplex(spec, {j})
+    actual = reduced_homology(T)
+    match = all(actual.get(k, (0, ())) == expected[k] for k in expected) \
+        and all(k in expected or actual[k] == (0, ()) for k in actual)
+    actual_table = {str(k): [r, list(t)] for k, (r, t) in sorted(actual.items())}
     return report(
-        "cyclotomic_homology", any_match,
-        witness=None if any_match else {"conventions": per_convention},
+        "cyclotomic_homology", match,
+        witness=None if match else {"actual": actual_table},
         coefficient=c_j, degree=j, primes=list(spec.primes),
+        labeling=spec.labeling,
         expected={str(k): [r, list(t)] for k, (r, t) in sorted(expected.items())},
-        per_convention=per_convention,
+        actual=actual_table,
+        facet_count=len(T.facet_masks),
     )
 
 
 def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
-    """The constant-term dichotomy, operationalized through the top h-entry.
+    """The constant-term dichotomy, operationalized through the top Betti number.
 
     Builds T = single-facet subcomplex and computes chi_c of its apex lift
     through the reversed-numerator identity; the lift itself is never
     materialized (its nonface count is far past the enumeration guard).
-    Tests h_top(T) = 1 when c_j = 0 and 0 otherwise.  The literal constant
-    term of chi_c (identically zero here) and the exact
-    h_top = (-1)^(d-1) * (chi - 1) identity are recorded.
+    Tests that the top Betti number of T, #top faces - rank of the top
+    boundary map, is 1 when c_j = 0 and 0 otherwise.  The top h-entry cannot
+    decide this: h_top = (-1)^(d-1) * (chi - 1), and at c_j = 0 the Z in
+    the two top degrees cancel in the Euler characteristic.  h_top, that
+    identity and the literal constant term of chi_c (identically zero here)
+    are recorded.
     """
     if not 0 <= j <= spec.phi:
         raise ValueError(f"j = {j} outside 0..{spec.phi}")
@@ -274,28 +265,24 @@ def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
     h_top = h.entries[-1]
     chi_reduced = T.euler_characteristics()[1]
     identity_ok = h_top == (-1) ** (h.d - 1) * chi_reduced
-    k_t = numerator_from_h(T).poly
+    top_rank = len(smith_normal_form(boundary_matrix(T, T.dimension)))
+    top_betti = T.f_vector()[-1] - top_rank
+    k_t = numerator_from_h(T)
     n_s = T.n + 1
     chi_c = reciprocal(k_t, n_s)
     sign = (-1) ** spec.d
-    expected_h_top = 1 if c_j == 0 else 0
-    expected_constant = sign + (1 if c_j == 0 else 0)
-    ok = h_top == expected_h_top
-    other = {}
-    for labeling in LABELINGS:
-        if labeling == spec.labeling:
-            continue
-        variant = build_residue_subcomplex(CyclotomicSpec(spec.primes, labeling), {j})
-        other[labeling] = h_vector(variant).entries[-1]
+    expected_top_betti = 1 if c_j == 0 else 0
+    ok = top_betti == expected_top_betti
     return report(
         "constant_term_detection", ok,
-        witness=None if ok else {"h_top": h_top, "expected": expected_h_top},
+        witness=None if ok else {"top_betti": top_betti,
+                                 "expected": expected_top_betti},
         coefficient=c_j, degree=j, primes=list(spec.primes),
         labeling=spec.labeling,
-        h_top=h_top, expected_h_top=expected_h_top,
-        h_top_other_labelings=other,
-        reconstructed_constant=sign + h_top,
-        expected_constant=expected_constant,
+        top_betti=top_betti, expected_top_betti=expected_top_betti,
+        h_top=h_top,
+        reconstructed_constant=sign + top_betti,
+        expected_constant=sign + expected_top_betti,
         literal_constant_term=chi_c[0],
         euler_identity_holds=identity_ok,
         h_vector=list(h.entries),

@@ -2,9 +2,9 @@
 
 The numerator K(t) over (1-t)^n is computed two independent ways: by
 inclusion-exclusion over generator subsets (union of squarefree supports =
-lcm), and from the h-vector as h(t)*(1-t)^(n-d).  The two must agree exactly;
-keeping them as separate provenance-tagged values is deliberate, because the
-h-polynomial and the K-polynomial coincide only when n = d.
+lcm), and from the h-vector as h(t)*(1-t)^(n-d).  The two routes share no
+code and must agree exactly.  The numerator is distinct from the
+h-polynomial: the two coincide only when n = d.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ from .report import GuardError
 
 GENERATOR_LIMIT = 25
 DEGREE_LIMIT = 12
-
-INCLUSION_EXCLUSION = "inclusion_exclusion"
-FROM_H = "from_h"
-
-
-@dataclass(frozen=True)
-class KPolynomial:
-    """Hilbert-series numerator with a provenance marker."""
-
-    poly: IntPolynomial
-    source: str
-
-    def __post_init__(self):
-        if self.source not in (INCLUSION_EXCLUSION, FROM_H):
-            raise ValueError(f"unknown source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +34,7 @@ class HVector:
         return IntPolynomial(self.entries)
 
 
-def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> KPolynomial:
+def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
     """K(t) = sum over generator subsets I of (-1)^|I| t^|union of I|."""
     gens = family.as_sets()
     r = len(gens)
@@ -75,7 +60,7 @@ def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> KPolynomial:
             walk(j + 1, nu, nsign)
 
     walk(0, 0, 1)
-    return KPolynomial(IntPolynomial(coeff), INCLUSION_EXCLUSION)
+    return IntPolynomial(coeff)
 
 
 def h_from_f(f, d: int) -> tuple[int, ...]:
@@ -111,12 +96,12 @@ def h_vector(S: SimplicialComplex) -> HVector:
     return HVector(h)
 
 
-def numerator_from_h(S: SimplicialComplex) -> KPolynomial:
+def numerator_from_h(S: SimplicialComplex) -> IntPolynomial:
     """K(t) = h(t) * (1-t)^(n-d); must equal the inclusion-exclusion route."""
     h = h_vector(S)
     exponent = S.n - (S.dimension + 1)
     one_minus_t = IntPolynomial((1, -1))
-    return KPolynomial(h.polynomial() * one_minus_t ** exponent, FROM_H)
+    return h.polynomial() * one_minus_t ** exponent
 
 
 def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
@@ -137,7 +122,7 @@ def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
 
 def series_coefficients(S: SimplicialComplex, upto: int) -> list[int]:
     """Coefficients 0..upto of K(t)/(1-t)^n expanded as a power series."""
-    k = numerator_by_inclusion_exclusion(S.minimal_nonfaces()).poly
+    k = numerator_by_inclusion_exclusion(S.minimal_nonfaces())
     n = S.n
 
     def ways(j):  # coefficient of t^j in 1/(1-t)^n

@@ -70,8 +70,8 @@ def _hilbert_rows(rng, seed, count):
     for i in range(count):
         S = random_complex(rng, n_max=8, r_max=5)
         gens = S.minimal_nonfaces()
-        ie = numerator_by_inclusion_exclusion(gens).poly
-        fh = numerator_from_h(S).poly
+        ie = numerator_by_inclusion_exclusion(gens)
+        fh = numerator_from_h(S)
         bad = None
         if ie != fh:
             bad = {"inclusion_exclusion": list(ie.coeffs), "from_h": list(fh.coeffs)}

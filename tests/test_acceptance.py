@@ -71,8 +71,8 @@ def test_criterion_03_hilbert_cross_check():
     ok = True
     for _ in range(50):
         s = random_complex(rng, n_max=8, r_max=5)
-        ie = numerator_by_inclusion_exclusion(s.minimal_nonfaces()).poly
-        ok = ok and ie == numerator_from_h(s).poly
+        ie = numerator_by_inclusion_exclusion(s.minimal_nonfaces())
+        ok = ok and ie == numerator_from_h(s)
         series = series_coefficients(s, 6)
         for m in range(7):
             ok = ok and series[m] == standard_monomial_count(s, m)
@@ -147,15 +147,18 @@ def test_criterion_08_cyclotomic_homology_experiment(capsys):
     start = time.monotonic()
     code = main(["cyclo-check", "--primes", "3,5,7", "--j", "7",
                  "--mode", "cycltop"])
-    out = capsys.readouterr().out
+    one = json.loads(capsys.readouterr().out)
+    code_zero = main(["cyclo-check", "--primes", "3,5,7", "--j", "7",
+                      "--mode", "cycltop", "--labeling", "zero"])
+    zero = json.loads(capsys.readouterr().out)
     elapsed = time.monotonic() - start
-    payload = json.loads(out)
-    per = payload["report"]["details"]["per_convention"]
-    ok = code == 0 and set(per) == {"zero", "one"}
-    # reproducible recorded verdicts: literal labeling reproduces the
-    # Z/2 torsion, wraparound labeling records the mismatch
-    ok = ok and per["one"]["match"] and per["one"]["actual"]["1"] == [0, [2]]
-    ok = ok and not per["zero"]["match"]
+    ok = code == 0 and code_zero == 0
+    # reproducible recorded verdicts: literal labeling (the default)
+    # reproduces the Z/2 torsion, wraparound labeling records the mismatch
+    ok = ok and one["conventions"]["labeling"] == "one"
+    ok = ok and one["report"]["verdict"] == "PASS"
+    ok = ok and one["report"]["details"]["actual"]["1"] == [0, [2]]
+    ok = ok and zero["report"]["verdict"] == "FAIL"
     # internal identity h_top = (-1)^(d-1) (chi - 1) for every built complex
     for primes in ((2, 3), (3, 5), (3, 5, 7)):
         for labeling in (ZERO_BASED, ONE_BASED):
@@ -167,7 +170,7 @@ def test_criterion_08_cyclotomic_homology_experiment(capsys):
                 chi_reduced = t.euler_characteristics()[1]
                 ok = ok and h.entries[-1] == (-1) ** (h.d - 1) * chi_reduced
     announce(8, ok and elapsed < 60.0,
-             f"torsion experiment per convention in {elapsed:.2f} s")
+             f"torsion experiment per labeling in {elapsed:.2f} s")
 
 
 def test_criterion_09_octahedron_suite():

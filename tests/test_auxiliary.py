@@ -254,7 +254,7 @@ def test_disjoint_and_apex_lifts_share_the_numerator_factor():
         chi_dis = chromatic_polynomial(s_dis)
         r = len(gens)
         assert chi_dis == chi_apex * P((0, 1)) ** (r - 1)
-        k = numerator_by_inclusion_exclusion(t.minimal_nonfaces()).poly
+        k = numerator_by_inclusion_exclusion(t.minimal_nonfaces())
         assert chi_apex == reciprocal(k, s_apex.n)
         assert chi_dis == reciprocal(k, s_dis.n)
 
@@ -266,7 +266,7 @@ def test_equal_numerators_and_vertex_counts_give_equal_chromatics():
     for _ in range(120):
         t = random_complex(rng, n_max=5, r_max=3)
         s, assign = lift_with_apex(t)
-        k = tuple(numerator_by_inclusion_exclusion(t.minimal_nonfaces()).poly.coeffs)
+        k = tuple(numerator_by_inclusion_exclusion(t.minimal_nonfaces()).coeffs)
         chi = chromatic_polynomial(s)
         key = (s.n, k)
         if key in pool:
@@ -310,7 +310,7 @@ def test_window_low_coefficient_is_never_large():
         window, rep = hilbert_polynomial_window(s, 1)
         if rep.verdict == "PASS":
             found.append(s)
-        k = numerator_by_inclusion_exclusion(s.minimal_nonfaces()).poly
+        k = numerator_by_inclusion_exclusion(s.minimal_nonfaces())
         two_element = sum(1 for g in s.minimal_nonfaces().generators
                           if len(g) == 2)
         assert k[2] == -two_element

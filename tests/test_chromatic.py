@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
-                                 add_nonface_as_face, chromatic_polynomial,
+                                 chromatic_polynomial,
                                  complete_graph, complex_of_graph,
                                  component_count, finite_model_count,
                                  graph_chromatic, tidied_contraction,
@@ -181,7 +181,7 @@ def test_addition_contraction_path():
     assert rep.passed
     assert not rep.details["remove_pass"]
     # pieces: (t^3 - 2t^2 + t) - (t^3 - t^2) + (t^2 - t) = 0
-    added = chromatic_polynomial(add_nonface_as_face(path_complex(), ("1", "2")))
+    added = chromatic_polynomial(path_complex().add_face(("1", "2")))
     assert added == P((0, 0, -1, 1))
 
 

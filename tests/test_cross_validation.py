@@ -121,7 +121,7 @@ def test_join_multiplies_chromatic_and_numerator():
         j = join(s1, s2)
         assert chromatic_polynomial(j) == \
             chromatic_polynomial(s1) * chromatic_polynomial(s2)
-        k1 = numerator_by_inclusion_exclusion(s1.minimal_nonfaces()).poly
-        k2 = numerator_by_inclusion_exclusion(s2.minimal_nonfaces()).poly
-        kj = numerator_by_inclusion_exclusion(j.minimal_nonfaces()).poly
+        k1 = numerator_by_inclusion_exclusion(s1.minimal_nonfaces())
+        k2 = numerator_by_inclusion_exclusion(s2.minimal_nonfaces())
+        kj = numerator_by_inclusion_exclusion(j.minimal_nonfaces())
         assert kj == k1 * k2

@@ -80,12 +80,19 @@ def test_included_residues_conventions():
 
 
 def test_single_facet_subcomplex_of_two_primes():
-    spec = CyclotomicSpec((2, 3))
-    k1 = build_residue_subcomplex(spec, {1})
-    assert k1.n == 5 and len(k1.facet_masks) == 5
+    # one-based keeps residues 1, 3, 4, 5: acyclic, as c_1 = -1 predicts
+    k1 = build_residue_subcomplex(CyclotomicSpec((2, 3)), {1})
+    assert k1.n == 5 and len(k1.facet_masks) == 4
     gens = [set(g) for g in k1.minimal_nonfaces().generators]
+    assert gens == [{"a", "b"}, {"a", "c"}, {"a", "e"}, {"c", "d"}, {"c", "e"},
+                    {"d", "e"}]
+    assert k1.euler_characteristics() == (1, 0)
+    # zero-based also keeps residue 0 and closes a cycle
+    k0 = build_residue_subcomplex(CyclotomicSpec((2, 3), ZERO_BASED), {1})
+    assert k0.n == 5 and len(k0.facet_masks) == 5
+    gens = [set(g) for g in k0.minimal_nonfaces().generators]
     assert gens == [{"a", "b"}, {"a", "e"}, {"c", "d"}, {"c", "e"}, {"d", "e"}]
-    assert k1.euler_characteristics() == (0, -1)
+    assert k0.euler_characteristics() == (0, -1)
 
 
 def test_full_inclusion_is_monotone_in_A():
@@ -98,37 +105,37 @@ def test_full_inclusion_is_monotone_in_A():
 
 
 def test_three_prime_counts():
-    spec = CyclotomicSpec((3, 5, 7))
-    ka = build_residue_subcomplex(spec, {7})
+    ka = build_residue_subcomplex(CyclotomicSpec((3, 5, 7), ZERO_BASED), {7})
     assert ka.f_vector() == (1, 15, 71, 58)
     assert ka.dimension == 2
-    one = build_residue_subcomplex(CyclotomicSpec((3, 5, 7), ONE_BASED), {7})
+    one = build_residue_subcomplex(CyclotomicSpec((3, 5, 7)), {7})
     assert one.f_vector() == (1, 15, 71, 57)
 
 
 def test_torsion_experiment_3_5_7():
     rep = check_cyclotomic_homology(CyclotomicSpec((3, 5, 7)), 7)
     assert rep.details["coefficient"] == -2
-    per = rep.details["per_convention"]
-    assert set(per) == {"zero", "one"}
-    # literal labeling reproduces the predicted torsion exactly
-    assert per["one"]["match"]
-    assert per["one"]["actual"]["1"] == [0, [2]]
-    # wraparound labeling records a mismatch instead
-    assert not per["zero"]["match"]
+    # the default one-based labeling reproduces the predicted torsion exactly
+    assert rep.details["labeling"] == ONE_BASED
+    assert rep.details["actual"]["1"] == [0, [2]]
+    assert rep.details["facet_count"] == 57
     assert rep.passed
+    # wraparound labeling records a mismatch instead
+    zero = check_cyclotomic_homology(CyclotomicSpec((3, 5, 7), ZERO_BASED), 7)
+    assert zero.details["actual"]["2"] == [1, []]
+    assert not zero.passed and zero.witness == {"actual": zero.details["actual"]}
 
 
 def test_torsion_experiment_two_primes_recorded():
     spec = CyclotomicSpec((2, 3))
     rep = check_cyclotomic_homology(spec, 1)
     assert rep.details["coefficient"] == -1
-    per = rep.details["per_convention"]
+    assert rep.passed
     # the five-facet wraparound complex has reduced Euler characteristic -1,
     # against a predicted trivial homology: recorded as a mismatch
-    assert not per["zero"]["match"]
-    assert per["zero"]["actual"]["1"] == [1, []]
-    assert per["one"]["match"]
+    zero = check_cyclotomic_homology(CyclotomicSpec((2, 3), ZERO_BASED), 1)
+    assert not zero.passed
+    assert zero.details["actual"]["1"] == [1, []]
     # no degree of the 6th cyclotomic polynomial has a zero coefficient, so
     # the c_j = 0 branch is not applicable for this spec
     assert zero_coefficient_indices(spec) == ()
@@ -141,9 +148,9 @@ def test_torsion_experiment_full_sweep_3_5():
     assert zeros == (2, 6)
     for j in range(spec.phi + 1):
         rep = check_cyclotomic_homology(spec, j)
-        assert rep.details["per_convention"]["one"]["match"], j
+        assert rep.passed, j
         if phi[j] == 0:
-            actual = rep.details["per_convention"]["one"]["actual"]
+            actual = rep.details["actual"]
             assert actual["0"] == [1, []] and actual["1"] == [1, []]
 
 
@@ -161,13 +168,16 @@ def test_euler_identity_holds_for_every_built_subcomplex():
 def test_constant_term_detection_records_dichotomy():
     rep = check_constant_term_detection(CyclotomicSpec((3, 5, 7)), 7)
     assert rep.details["coefficient"] == -2
-    assert rep.details["expected_h_top"] == 0
+    assert rep.details["expected_top_betti"] == 0
     assert rep.details["literal_constant_term"] == 0
     assert rep.details["euler_identity_holds"]
     assert rep.details["expected_constant"] == -1  # (-1)^3, nonzero branch
-    # wraparound labeling leaves a stray top entry: a recorded FAIL
-    assert rep.details["h_top"] == 1 and not rep.passed
-    assert rep.details["h_top_other_labelings"] == {"one": 0}
+    assert rep.details["h_top"] == 0 and rep.details["top_betti"] == 0
+    assert rep.passed
+    # wraparound labeling leaves a stray top class: a recorded FAIL
+    zero = check_constant_term_detection(CyclotomicSpec((3, 5, 7), ZERO_BASED), 7)
+    assert zero.details["h_top"] == 1 and zero.details["top_betti"] == 1
+    assert not zero.passed
 
     rep0 = check_constant_term_detection(CyclotomicSpec((2, 3)), 0)
     assert rep0.passed and rep0.details["h_top"] == 0
@@ -175,8 +185,10 @@ def test_constant_term_detection_records_dichotomy():
     # two groups, nonzero coefficient: the claimed constant is (-1)^2 = 1
     rep2 = check_constant_term_detection(CyclotomicSpec((2, 3)), 2)
     assert rep2.details["expected_constant"] == 1
-    assert rep2.details["expected_h_top"] == 0
-    assert rep2.details["h_top"] == 1 and not rep2.passed  # recorded mismatch
+    assert rep2.details["expected_top_betti"] == 0
+    assert rep2.details["h_top"] == 0 and rep2.passed
+    zero2 = check_constant_term_detection(CyclotomicSpec((2, 3), ZERO_BASED), 2)
+    assert zero2.details["h_top"] == 1 and not zero2.passed  # recorded mismatch
 
 
 def test_constant_term_detection_flags_zero_coefficients_differently():
@@ -185,9 +197,26 @@ def test_constant_term_detection_flags_zero_coefficients_differently():
                 for j in range(9)}
     for j in range(9):
         rep = check_constant_term_detection(spec, j)
-        assert rep.details["expected_h_top"] == expected[j]
-        sign = rep.details["expected_constant"] - rep.details["expected_h_top"]
+        assert rep.details["expected_top_betti"] == expected[j]
+        sign = rep.details["expected_constant"] - rep.details["expected_top_betti"]
         assert sign == 1  # (-1)^2 for two prime groups
+
+
+def test_constant_term_detection_fires_exactly_on_zero_coefficients():
+    # h_top is 0 on every one-based residue, so only the top Betti number
+    # can see c_j = 0, where Z sits in the two top degrees
+    for primes in ((3, 5), (2, 3, 5)):
+        spec = CyclotomicSpec(primes)
+        phi = cyclotomic_polynomial(spec.n)
+        for j in range(spec.phi + 1):
+            rep = check_constant_term_detection(spec, j)
+            assert rep.passed, (primes, j)
+            assert rep.details["top_betti"] == (1 if phi[j] == 0 else 0)
+        # zero-based, the detector fails on every nonzero coefficient but c_0
+        zero = CyclotomicSpec(primes, ZERO_BASED)
+        fails = [j for j in range(spec.phi + 1)
+                 if not check_constant_term_detection(zero, j).passed]
+        assert fails == [j for j in range(1, spec.phi + 1) if phi[j] != 0]
 
 
 def test_chromatic_identity_spot_check_on_two_primes():
@@ -200,5 +229,5 @@ def test_chromatic_identity_spot_check_on_two_primes():
     t = build_residue_subcomplex(CyclotomicSpec((2, 3)), {1})
     s, _ = lift_with_apex(t)
     direct = chromatic_polynomial(s)
-    identity = reciprocal(numerator_from_h(t).poly, s.n)
+    identity = reciprocal(numerator_from_h(t), s.n)
     assert direct == identity

@@ -134,19 +134,24 @@ def test_cli_cyclo_commands(capsys):
                         "--mode", "cycltop")
     payload = json.loads(out)
     assert code == 0
-    per = payload["report"]["details"]["per_convention"]
-    assert set(per) == {"zero", "one"}
+    assert payload["conventions"]["labeling"] == "one"
+    assert payload["report"]["details"]["labeling"] == "one"
+    assert payload["report"]["verdict"] == "PASS"
     code, out = run_cli(capsys, "cyclo-check", "--primes", "2,3", "--j", "1",
                         "--mode", "cyclcheck")
+    assert json.loads(out)["report"]["verdict"] == "PASS"
+    code, out = run_cli(capsys, "cyclo-check", "--primes", "2,3", "--j", "1",
+                        "--mode", "cyclcheck", "--labeling", "zero")
     assert json.loads(out)["report"]["verdict"] == "FAIL"  # recorded experiment
 
 
-def test_cli_cyclo_labeling_narrows_sweep(capsys):
+def test_cli_cyclo_labeling_option(capsys):
     code, out = run_cli(capsys, "cyclo-check", "--primes", "2,3", "--j", "1",
-                        "--mode", "cycltop", "--labeling", "one")
+                        "--mode", "cycltop", "--labeling", "zero")
     payload = json.loads(out)
-    assert set(payload["report"]["details"]["per_convention"]) == {"one"}
-    assert payload["conventions"]["labeling"] == ["one"]
+    assert payload["report"]["details"]["labeling"] == "zero"
+    assert payload["conventions"]["labeling"] == "zero"
+    assert payload["report"]["verdict"] == "FAIL"
 
 
 def test_cli_uniform_disjoint_lift_is_usage_error(capsys):
