@@ -13,8 +13,8 @@ from .auxiliary import (AlphaAssignment, auxiliary_complex, check_target_invaria
                         is_apex_assignment, verify_main_theorem)
 from .chromatic import NONFACE_LIMIT, chromatic_polynomial
 from .complexes import SimplicialComplex
-from .hilbert import h_vector, numerator_by_inclusion_exclusion, numerator_from_h
-from .polynomials import (is_log_concave, is_signed_palindrome,
+from .hilbert import h_vector, numerator_from_h
+from .polynomials import (IntPolynomial, is_log_concave, is_signed_palindrome,
                           largest_log_concave_suffix, reciprocal, substitute_shift)
 from .report import CheckReport, GuardError, NOT_APPLICABLE, PASS, report
 
@@ -129,20 +129,18 @@ def reciprocity_report(S: SimplicialComplex, assign: AlphaAssignment) -> CheckRe
     if not main.passed:
         raise ValueError("the reversed-numerator identity fails for this "
                          "assignment; reciprocity is undefined")
-    T = auxiliary_complex(assign)
-    k_t = numerator_by_inclusion_exclusion(T.minimal_nonfaces())
-    chi_c = reciprocal(k_t, S.n)
-    d_t = T.dimension + 1
-    sign = (-1) ** (T.n - d_t)
+    n_t, d_t = main.details["n_T"], main.details["d_T"]
+    chi_c = reciprocal(IntPolynomial(main.details["numerator_T"]), S.n)
+    sign = (-1) ** (n_t - d_t)
     palindrome = is_signed_palindrome(chi_c, sign)
     details = {
         "sign": sign,
         "chromatic": list(chi_c.coeffs),
-        "n_T": T.n,
+        "n_T": n_t,
         "d_T": d_t,
         "palindrome": palindrome.to_dict(),
     }
-    if T == octahedron_boundary():
+    if auxiliary_complex(assign) == octahedron_boundary():
         details["literal_t5_t3_claim"] = {
             "t5": chi_c[5], "t3": chi_c[3], "equal": chi_c[5] == chi_c[3]}
     return CheckReport("reciprocity", palindrome.verdict, palindrome.witness,

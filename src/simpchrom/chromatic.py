@@ -206,35 +206,21 @@ def tidied_contraction(S: SimplicialComplex, sigma,
     sig = S.mask_of(sigma)
     if sig not in S.minimal_nonface_masks:
         raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
-    survivors = [m for m in S.face_masks if not m & sig]
-    kept_labels = [v for v in S.vertices if not sig >> S._index[v] & 1]
-    if convention == REMOVE_ONLY:
-        facets = _antichain_max(survivors)
-        return SimplicialComplex(tuple(kept_labels),
-                                 _sort_masks(_relabel(facets, S, kept_labels)))
-    if convention != MERGE_VERTEX:
+    if convention not in (REMOVE_ONLY, MERGE_VERTEX):
         raise ValueError(f"unknown contraction convention {convention!r}")
-    w = fresh_label(set(S.vertices), "w")
-    sig_bits = list(_bits(sig))
-    faces = set(survivors)
-    wbit = 1 << S.n  # temporary position for the merge vertex
-    face_set = S.face_masks
-    for m in survivors:
-        if all(m | (1 << x) in face_set for x in sig_bits):
-            faces.add(m | wbit)
-    facets = _antichain_max(faces)
-    new_labels = sorted(kept_labels + [w])
-    order = {v: i for i, v in enumerate(new_labels)}
-    old_pos = {S._index[v]: order[v] for v in kept_labels}
-    old_pos[S.n] = order[w]
-    remapped = [_remap(m, old_pos) for m in facets]
+    faces = {m for m in S.face_masks if not m & sig}
+    # old bit position of every label the contraction keeps
+    old = {v: i for i, v in enumerate(S.vertices) if not sig >> i & 1}
+    if convention == MERGE_VERTEX:
+        wbit = 1 << S.n  # temporary position for the merge vertex
+        face_set = S.face_masks
+        faces |= {m | wbit for m in faces
+                  if all(m | (1 << x) in face_set for x in _bits(sig))}
+        old[fresh_label(set(S.vertices), "w")] = S.n
+    new_labels = sorted(old)
+    old_pos = {old[v]: i for i, v in enumerate(new_labels)}
+    remapped = [_remap(m, old_pos) for m in _antichain_max(faces)]
     return SimplicialComplex(tuple(new_labels), _sort_masks(remapped))
-
-
-def _relabel(masks, S, kept_labels):
-    order = {v: i for i, v in enumerate(kept_labels)}
-    old_pos = {S._index[v]: order[v] for v in kept_labels}
-    return [_remap(m, old_pos) for m in masks]
 
 
 def _remap(mask, old_to_new):

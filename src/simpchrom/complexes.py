@@ -1,8 +1,10 @@
 """Finite abstract simplicial complexes stored canonically by facets.
 
 Vertices are label strings, sorted lexicographically; faces live as bitmasks
-over that order.  Conversion between the facet description and the minimal
-nonface description (the squarefree-ideal generators) is exact both ways.
+over that order, bit i standing for the i-th label.  One encoder, ``_masks``,
+turns label sets into such masks for every caller.  Conversion between the
+facet description and the minimal nonface description (the squarefree-ideal
+generators) is exact both ways.
 
 A complex is "strict" when every vertex is required to be a face; auxiliary
 complexes built from companion-set families may carry formal vertices that
@@ -25,6 +27,31 @@ def _bits(mask: int):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _masks(labels, sets, what: str) -> list[int]:
+    """Bitmask of each label set, bit i standing for labels[i].
+
+    An unknown label is a ValueError that names the offending set as a
+    ``what`` (facet, generator).
+    """
+    index = {v: i for i, v in enumerate(labels)}
+    out = []
+    for s in sets:
+        m = 0
+        for lab in s:
+            if lab not in index:
+                raise ValueError(f"{what} {sorted(s)} references unknown label {lab!r}")
+            m |= 1 << index[lab]
+        out.append(m)
+    return out
+
+
+def _check_vertex_count(n: int) -> None:
+    """Face enumeration and dualization walk subsets of the vertex set."""
+    if n > VERTEX_LIMIT:
+        raise GuardError("vertex_count",
+                         f"{n} vertices exceed the {VERTEX_LIMIT} limit")
 
 
 def _antichain_max(masks) -> list[int]:
@@ -107,15 +134,7 @@ class SimplicialComplex:
         In strict mode every label must appear in some facet.
         """
         verts = _canonical_labels(labels)
-        index = {v: i for i, v in enumerate(verts)}
-        masks = []
-        for f in facets:
-            m = 0
-            for lab in f:
-                if lab not in index:
-                    raise ValueError(f"facet {sorted(f)} references unknown label {lab!r}")
-                m |= 1 << index[lab]
-            masks.append(m)
+        masks = _masks(verts, facets, "facet")
         masks = _antichain_max(masks) if masks else [0]
         if not relaxed:
             covered = 0
@@ -131,20 +150,10 @@ class SimplicialComplex:
                               relaxed: bool = False) -> "SimplicialComplex":
         """Build the complex whose faces are exactly the generator-free subsets."""
         verts = _canonical_labels(labels)
-        if len(verts) > VERTEX_LIMIT:
-            raise GuardError("vertex_count",
-                             f"{len(verts)} vertices exceed the {VERTEX_LIMIT} limit")
-        index = {v: i for i, v in enumerate(verts)}
+        _check_vertex_count(len(verts))
         family = generators if isinstance(generators, NonfaceFamily) \
             else NonfaceFamily(tuple(tuple(g) for g in generators))
-        gen_masks = []
-        for g in family.generators:
-            m = 0
-            for lab in g:
-                if lab not in index:
-                    raise ValueError(f"generator {list(g)} references unknown label {lab!r}")
-                m |= 1 << index[lab]
-            gen_masks.append(m)
+        gen_masks = _masks(verts, family.generators, "generator")
         if not relaxed:
             for g, m in zip(family.generators, gen_masks):
                 if m.bit_count() == 1:
@@ -197,14 +206,9 @@ class SimplicialComplex:
 
     # -- face enumeration --------------------------------------------------
 
-    def _check_enumeration_guard(self):
-        if self.n > VERTEX_LIMIT:
-            raise GuardError("vertex_count",
-                             f"{self.n} vertices exceed the {VERTEX_LIMIT} limit")
-
     @cached_property
     def face_masks(self) -> frozenset:
-        self._check_enumeration_guard()
+        _check_vertex_count(self.n)
         return frozenset(_downward_closure(self.facet_masks))
 
     def is_face(self, labels) -> bool:

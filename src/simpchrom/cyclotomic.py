@@ -28,17 +28,22 @@ ZERO_BASED = "zero"
 ONE_BASED = "one"
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with n the product of the p^e, by trial division; {} below 2."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    for f in range(3, isqrt(p) + 1, 2):
-        if p % f == 0:
-            return False
-    return True
+    return _prime_factors(p) == {p: 1}
 
 
 def _divisors(n: int) -> list[int]:
@@ -52,18 +57,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def _moebius(n: int) -> int:
-    mu = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    exponents = _prime_factors(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
@@ -88,15 +83,8 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
 
 def euler_phi(n: int) -> int:
     out = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
+    for p in _prime_factors(n):
+        out -= out // p
     return out
 
 

@@ -3,7 +3,8 @@
 The numerator K(t) over (1-t)^n is computed two independent ways: by
 inclusion-exclusion over generator subsets (union of squarefree supports =
 lcm), and from the h-vector as h(t)*(1-t)^(n-d).  The two routes share no
-code and must agree exactly.  The numerator is distinct from the
+algorithm and must agree exactly; the first borrows only the label-to-bitmask
+encoder of the complexes module.  The numerator is distinct from the
 h-polynomial: the two coincide only when n = d.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import NonfaceFamily, SimplicialComplex
+from .complexes import NonfaceFamily, SimplicialComplex, _masks
 from .polynomials import IntPolynomial
 from .report import GuardError
 
@@ -42,13 +43,7 @@ def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
         raise GuardError("generator_count",
                          f"{r} generators exceed the {GENERATOR_LIMIT} limit")
     ground = sorted(set().union(*gens)) if gens else []
-    index = {v: i for i, v in enumerate(ground)}
-    masks = []
-    for g in family.generators:
-        m = 0
-        for lab in g:
-            m |= 1 << index[lab]
-        masks.append(m)
+    masks = _masks(ground, family.generators, "generator")
     coeff = [0] * (len(ground) + 1)
     coeff[0] += 1
 

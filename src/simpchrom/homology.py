@@ -3,7 +3,8 @@
 Boundary operators are exact integer matrices over lexicographically ordered
 faces; ranks and torsion come from a Smith normal form computed with plain
 arbitrary-precision elimination and a smallest-pivot heuristic.  No modular
-tricks: the matrices here stay around 100 x 100.
+tricks: the matrices here stay around 100 x 100.  The face-count and SNF
+size guards both fire in ``boundary_matrix``, before a matrix is allocated.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
     if len(rows) > FACE_COUNT_LIMIT or len(cols) > FACE_COUNT_LIMIT:
         raise GuardError("face_count",
                          f"face counts exceed the {FACE_COUNT_LIMIT} limit")
+    _check_snf_size(len(rows), len(cols))
     row_index = {m: i for i, m in enumerate(rows)}
     out = [[0] * len(cols) for _ in rows]
     for j, m in enumerate(cols):
@@ -79,14 +81,19 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
             mm ^= b
         for pos, b in enumerate(verts):
             out[row_index[m ^ b]][j] = (-1) ** pos
-    return IntegerMatrix(tuple(tuple(r) for r in out))
+    return IntegerMatrix(out)
+
+
+def _check_snf_size(nrows: int, ncols: int) -> None:
+    """The dense elimination costs O(short side * rows * cols)."""
+    if min(nrows, ncols) > SNF_DIMENSION_LIMIT:
+        raise GuardError("matrix_size",
+                         f"matrix exceeds the {SNF_DIMENSION_LIMIT} SNF limit")
 
 
 def smith_normal_form(M: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero diagonal invariants d_1 | d_2 | ... of M; their count is the rank."""
-    if min(M.nrows, M.ncols) > SNF_DIMENSION_LIMIT:
-        raise GuardError("matrix_size",
-                         f"matrix exceeds the {SNF_DIMENSION_LIMIT} SNF limit")
+    _check_snf_size(M.nrows, M.ncols)
     a = [list(row) for row in M.entries]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -169,9 +176,7 @@ def reduced_homology(S: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ..
     if dim < 0:
         # only the empty face: a single Z in degree -1
         return {-1: (1, ())}
-    counts = {}
-    for k in range(dim + 1):
-        counts[k] = len(faces_of_dimension(S, k))
+    counts = S.f_vector()[1:]
     snf = {}
     for k in range(dim + 1):
         snf[k] = smith_normal_form(boundary_matrix(S, k))

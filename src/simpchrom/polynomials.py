@@ -202,15 +202,15 @@ def substitute_shift(p: IntPolynomial) -> IntPolynomial:
 
 
 def largest_log_concave_suffix(seq, absolute: bool = False) -> int:
-    """Smallest start index such that seq[start:] is log concave."""
+    """Smallest start index such that seq[start:] is log concave.
+
+    That is the last interior index i with e_{i-1}*e_{i+1} > e_i^2, since
+    seq[i:] no longer has i in its interior; 0 when there is none.  The test
+    is symmetric, so the last violation is the first one of the reversal.
+    """
     n = len(seq)
-    start = n
-    for s in range(n - 1, -1, -1):
-        if _log_concave_violation(seq, s, n, absolute) is None:
-            start = s
-        else:
-            break
-    return start
+    bad = _log_concave_violation(seq[::-1], 0, n, absolute)
+    return 0 if bad is None else n - 1 - bad
 
 
 def _log_concave_violation(seq, lo, hi, absolute):

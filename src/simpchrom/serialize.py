@@ -111,10 +111,6 @@ def graph_from_data(data, where: str = "<data>") -> Graph:
         raise InputError(where, str(exc)) from exc
 
 
-def load_graph(path: str) -> Graph:
-    return graph_from_data(_read_json(path), path)
-
-
 def load_complex_or_graph(path: str):
     """Read a complex file, or a graph file converted to its nonface complex.
 

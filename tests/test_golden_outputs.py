@@ -1,0 +1,129 @@
+"""Byte-identity of the CLI: a sha256 of every run's exit code, stdout and stderr.
+
+A refactor must leave these digests alone.  When a change alters an output on
+purpose, update the digest here and say in CHANGES.md what changed and why.
+Input files are written to a temporary directory and named by relative path,
+so error messages that quote the path stay the same on every machine.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from simpchrom.cli import main
+
+FILES = {
+    "c5-graph.json": {"graph_vertices": ["a", "b", "c", "d", "e"],
+                      "edges": [["a", "b"], ["b", "c"], ["c", "d"],
+                                ["d", "e"], ["a", "e"]]},
+    # e lies in no minimal nonface, so the numerator's ground set is smaller
+    # than the vertex set
+    "lonely.json": {"vertices": ["a", "b", "c", "d", "e"],
+                    "minimal_nonfaces": [["a", "b", "c"], ["c", "d"]]},
+    "ac.json": {"vertices": ["1", "2", "3", "4", "5"],
+                "minimal_nonfaces": [["1", "2"], ["2", "3", "4"], ["4", "5"]]},
+    "tri.json": {"vertices": ["1", "2", "3"],
+                 "minimal_nonfaces": [["1", "2", "3"]]},
+    "square.json": {"vertices": ["a", "b", "c", "d"],
+                    "minimal_nonfaces": [["a", "c"], ["b", "d"]]},
+    # the disjoint lift of the octahedron boundary: its auxiliary complex is
+    # the octahedron again, so reciprocity records the literal t^5/t^3 claim
+    "octa-lift.json": {"vertices": ["a", "b", "c", "d", "e", "f",
+                                    "q1", "q2", "q3"],
+                       "minimal_nonfaces": [["a", "c", "q1"], ["b", "d", "q2"],
+                                            ["e", "f", "q3"]]},
+    "rp2.json": {"vertices": ["1", "2", "3", "4", "5", "6"],
+                 "facets": [["1", "2", "3"], ["1", "3", "4"], ["1", "4", "5"],
+                            ["1", "5", "6"], ["1", "2", "6"], ["2", "3", "5"],
+                            ["2", "4", "5"], ["2", "4", "6"], ["3", "4", "6"],
+                            ["3", "5", "6"]]},
+    "bad-facet-label.json": {"vertices": ["a", "b"], "facets": [["a", "z"]]},
+    "bad-generator-label.json": {"vertices": ["a", "b", "c"],
+                                 "minimal_nonfaces": [["a", "b"], ["c", "y"]]},
+    "not-antichain.json": {"vertices": ["a", "b", "c"],
+                           "minimal_nonfaces": [["a", "b"], ["a", "b", "c"]]},
+    "repeated-vertex.json": {"vertices": ["a", "b", "c"],
+                             "minimal_nonfaces": [["a", "a", "b"]]},
+    "wide-facets.json": {"vertices": [f"v{i:02d}" for i in range(30)],
+                         "facets": [[f"v{i:02d}" for i in range(30)]]},
+    "wide-nonfaces.json": {"vertices": [f"v{i:02d}" for i in range(26)],
+                           "minimal_nonfaces": [["v00", "v01"]]},
+}
+
+RUNS = {
+    "sweep-42": ["sweep", "--seed", "42"],
+    "chromatic-graph": ["chromatic", "c5-graph.json"],
+    "hilbert-expand": ["hilbert", "lonely.json", "--expand", "6"],
+    "verify-ac-merge": ["verify-ac", "ac.json", "--nonface", "2,3,4"],
+    "verify-ac-remove": ["verify-ac", "ac.json", "--nonface", "2,3,4",
+                         "--convention", "remove"],
+    "verify-theorem-search": ["verify-theorem", "square.json", "--search"],
+    "reciprocity-search": ["reciprocity", "octa-lift.json", "--search"],
+    "logconcavity": ["logconcavity", "ac.json"],
+    "homology": ["homology", "rp2.json"],
+    "uniform-apex": ["uniform", "--n", "9", "--r", "6", "--lift", "apex"],
+    "cyclo-check": ["cyclo-check", "--primes", "3,5,7", "--j", "7"],
+    "error-facet-label": ["chromatic", "bad-facet-label.json"],
+    "error-generator-label": ["chromatic", "bad-generator-label.json"],
+    "error-not-antichain": ["chromatic", "not-antichain.json"],
+    "error-repeated-vertex": ["chromatic", "repeated-vertex.json"],
+    "guard-vertices-facets": ["chromatic", "wide-facets.json"],
+    "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
+}
+
+DIGESTS = {
+    "chromatic-graph":
+        "45359f2c3f466b4669da6edcc64dc1f90dbb3741272f44789e0fa4504b3344f4",
+    "cyclo-check":
+        "126fd41912412e6fed042e269cf485ab70044fbedb29c48e81d0dd9288c118df",
+    "error-facet-label":
+        "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
+    "error-generator-label":
+        "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
+    "error-not-antichain":
+        "38b97ba30dacc438b420ff20f8ae5a27dcb972127e955049bc0387c3a3e90919",
+    "error-repeated-vertex":
+        "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
+    "guard-vertices-facets":
+        "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
+    "guard-vertices-nonfaces":
+        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
+    "hilbert-expand":
+        "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
+    "homology":
+        "f4edc6222e03a59a455c1bf2a437ce5311df3b02bb6e20d4c61957b2541f6f0d",
+    "logconcavity":
+        "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
+    "reciprocity-search":
+        "e4a98506bef29b63e4511975d29bc7d53f7735597cd73d11143ad124efd470c2",
+    "sweep-42":
+        "6b48bca13354a3d60ed77ef005e82c2e451d3b2f9ebf84eb3a8ec40d473073fd",
+    "uniform-apex":
+        "0ed07619665bad9cf051202e5f357299fc31c0a0f906659cd9322df38caf1684",
+    "verify-ac-merge":
+        "6f5fce1b5c243a7eaec79753b6d93677e402c7476d7c48389bb90af9767b664a",
+    "verify-ac-remove":
+        "cf87d0f416fd2fc5142ddc80d612ec687f510beebebb05851acd7c3aebc938c0",
+    "verify-theorem-search":
+        "b6838093c4ab612ad513f82685abeb3322a284ade8816944b3e570792a70e463",
+}
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    for name, payload in FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+def digest(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_is_unchanged(name, inputs, capsys):
+    assert digest(capsys, RUNS[name]) == DIGESTS[name]

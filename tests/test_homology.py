@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from simpchrom import homology
+from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.complexes import SimplicialComplex, points_complex
 from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology,
                                 smith_normal_form)
+from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
 SC = SimplicialComplex
@@ -187,3 +190,35 @@ def test_invariant_count_matches_rational_rank():
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(cols))
                   for _ in range(rows))
         assert len(smith_normal_form(IntegerMatrix(m))) == _rational_rank(m)
+
+
+def test_face_count_guard(monkeypatch):
+    monkeypatch.setattr(homology, "FACE_COUNT_LIMIT", 8)
+    assert boundary_matrix(octahedron(), 0).ncols == 6
+    for k in (1, 2):  # 6 x 12 and 12 x 8: the 12 edges exceed the limit
+        with pytest.raises(GuardError, match="face counts exceed the 8 limit") as exc:
+            boundary_matrix(octahedron(), k)
+        assert exc.value.limit == "face_count"
+
+
+def test_matrix_size_guard_fires_before_the_matrix_is_built(monkeypatch):
+    u = uniform_matroid_complex(16, 4)
+    assert boundary_matrix(u, 2).nrows == 120  # 120 x 560: short side 120
+
+    def unbuilt(entries):
+        raise AssertionError("boundary matrix allocated past the SNF limit")
+
+    monkeypatch.setattr(homology, "IntegerMatrix", unbuilt)
+    with pytest.raises(GuardError, match="matrix exceeds the 500 SNF limit") as exc:
+        boundary_matrix(u, 3)  # 560 x 1820
+    assert exc.value.limit == "matrix_size"
+
+
+def test_matrix_size_guard_in_smith_normal_form(monkeypatch):
+    monkeypatch.setattr(homology, "SNF_DIMENSION_LIMIT", 2)
+    assert smith_normal_form(IntegerMatrix(((1, 0, 0), (0, 2, 0)))) == (1, 2)
+    with pytest.raises(GuardError, match="matrix exceeds the 2 SNF limit") as exc:
+        smith_normal_form(IntegerMatrix(((1, 0, 0), (0, 2, 0), (0, 0, 3))))
+    assert exc.value.limit == "matrix_size"
+    with pytest.raises(GuardError, match="SNF limit"):
+        reduced_homology(triangle_boundary())  # d1 is 3 x 3
