@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .auxiliary import (AlphaAssignment, auxiliary_complex, check_target_invariant,
-                        is_apex_assignment, verify_main_theorem)
+                        is_apex_assignment, require_matching_sigmas,
+                        verify_main_theorem)
 from .chromatic import NONFACE_LIMIT, chromatic_polynomial
 from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
@@ -43,8 +44,12 @@ def octahedron_boundary() -> SimplicialComplex:
 
 def _chromatic_if_possible(S, assign):
     """chi_c through the reversed-numerator identity when an assignment is
-    given (and valid), else directly when the nonface count allows."""
+    given (and valid), else directly when the nonface count allows.
+
+    An assignment whose sigmas are not the minimal nonfaces of S is a
+    ValueError: its identity would describe another complex."""
     if assign is not None:
+        require_matching_sigmas(S, assign)
         try:
             valid = check_target_invariant(assign).passed
         except GuardError:

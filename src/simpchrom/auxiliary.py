@@ -266,6 +266,13 @@ def lift_disjoint(T: SimplicialComplex):
     return S, AlphaAssignment(tuple(zip(sigmas, alphas)))
 
 
+def require_matching_sigmas(S: SimplicialComplex, assign: AlphaAssignment) -> None:
+    """ValueError unless the assignment's sigmas are the minimal nonfaces of S."""
+    nonfaces = {frozenset(S.labels_of(m)) for m in S.minimal_nonface_masks}
+    if set(assign.sigmas) != nonfaces:
+        raise ValueError("assignment sigmas differ from the minimal nonfaces of S")
+
+
 def verify_main_theorem(S: SimplicialComplex, assign: AlphaAssignment) -> CheckReport:
     """Is chi_c(S) the reversed numerator of the auxiliary complex?
 
@@ -274,9 +281,7 @@ def verify_main_theorem(S: SimplicialComplex, assign: AlphaAssignment) -> CheckR
     h-polynomial instead; it coincides with (a) only when T's vertex count
     equals dim T + 1, and is recorded informationally.
     """
-    sig_family = {frozenset(g) for g in S.minimal_nonfaces().generators}
-    if set(assign.sigmas) != sig_family:
-        raise ValueError("assignment sigmas differ from the minimal nonfaces of S")
+    require_matching_sigmas(S, assign)
     lhs = chromatic_polynomial(S)
     T = auxiliary_complex(assign)
     k_t = numerator_by_inclusion_exclusion(T.minimal_nonfaces())

@@ -1,17 +1,20 @@
 """Integer simplicial homology of the reduced (augmented) chain complex.
 
 Boundary operators are exact integer matrices over lexicographically ordered
-faces; ranks and torsion come from a Smith normal form computed with plain
-arbitrary-precision elimination and a smallest-pivot heuristic.  No modular
-tricks: the matrices here stay around 100 x 100.  The face-count and SNF
-size guards both fire in ``boundary_matrix``, before a matrix is allocated.
+faces, built once as tuple rows; ranks and torsion come from a Smith normal
+form computed by exact elimination over sparse rows.  Boundary entries are
+0 and +-1, so nearly every pivot is a unit and the rows stay short.  No
+modular tricks.  The face-count and SNF size guards both fire in
+``boundary_matrix``, before a matrix is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd, lcm
 
-from .complexes import SimplicialComplex, _mask_key
+from .complexes import SimplicialComplex, _bits, _mask_key
 from .report import GuardError
 
 FACE_COUNT_LIMIT = 5000
@@ -23,7 +26,9 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))  # tuple rows are kept as they are
+        if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
+            raise TypeError("matrix entries must be int")
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")
@@ -60,7 +65,8 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
     """Matrix of the k-th boundary map with standard alternating signs.
 
     Rows index (k-1)-faces, columns index k-faces; the k = 0 map sends every
-    vertex to the empty face (reduced augmentation row of ones).
+    vertex to the empty face (reduced augmentation row of ones).  The entry
+    at (m, m + v) is (-1) to the number of vertices of m below v.
     """
     if k < 0 or k > S.dimension:
         raise ValueError(f"degree {k} outside 0..{S.dimension}")
@@ -70,100 +76,79 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
         raise GuardError("face_count",
                          f"face counts exceed the {FACE_COUNT_LIMIT} limit")
     _check_snf_size(len(rows), len(cols))
-    row_index = {m: i for i, m in enumerate(rows)}
-    out = [[0] * len(cols) for _ in rows]
-    for j, m in enumerate(cols):
-        verts = []
-        mm = m
-        while mm:
-            b = mm & -mm
-            verts.append(b)
-            mm ^= b
-        for pos, b in enumerate(verts):
-            out[row_index[m ^ b]][j] = (-1) ** pos
-    return IntegerMatrix(out)
+    col_index = {m: j for j, m in enumerate(cols)}
+    full = (1 << S.n) - 1
+    out = []
+    for m in rows:
+        row = [0] * len(cols)
+        for v in _bits(full & ~m):
+            j = col_index.get(m | 1 << v)
+            if j is not None:
+                row[j] = -1 if (m & ((1 << v) - 1)).bit_count() & 1 else 1
+        out.append(tuple(row))
+    return IntegerMatrix(tuple(out))
 
 
 def _check_snf_size(nrows: int, ncols: int) -> None:
-    """The dense elimination costs O(short side * rows * cols)."""
+    """Bounds the dense matrix that ``boundary_matrix`` allocates."""
     if min(nrows, ncols) > SNF_DIMENSION_LIMIT:
         raise GuardError("matrix_size",
                          f"matrix exceeds the {SNF_DIMENSION_LIMIT} SNF limit")
 
 
 def smith_normal_form(M: IntegerMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal invariants d_1 | d_2 | ... of M; their count is the rank."""
+    """Nonzero diagonal invariants d_1 | d_2 | ... of M; their count is the rank.
+
+    Rows are held as {column: entry} dicts of their nonzeros.  Each step
+    pivots on an entry of least absolute value, the first unit found, and
+    clears its column by row operations.  Once the column is clear, column
+    operations touch only the pivot row, which is reduced modulo the pivot;
+    a row left holding only its pivot gives one diagonal entry.  Every
+    remainder is smaller than its pivot, so the loop ends.
+    """
     _check_snf_size(M.nrows, M.ncols)
-    a = [list(row) for row in M.entries]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    invariants = []
-    t = 0
-    while t < min(m, n):
-        pivot = _smallest_nonzero(a, t, m, n)
-        if pivot is None:
-            break
-        while True:
-            pi, pj = _smallest_nonzero(a, t, m, n)
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        for j in range(t, n):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest for the divisibility chain
-            fix = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
+    rows = [r for r in ({j: x for j, x in enumerate(row) if x}
+                        for row in M.entries) if r]
+    diagonal = []
+    while rows:
+        least = None
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if least is None or abs(x) < abs(least[2]):
+                    least = (i, j, x)
+            if abs(least[2]) == 1:
                 break
-            for j in range(t, n):
-                a[t][j] += a[fix][j]
-        invariants.append(abs(a[t][t]))
-        t += 1
-    return tuple(invariants)
-
-
-def _smallest_nonzero(a, t, m, n):
-    best = None
-    best_pos = None
-    for i in range(t, m):
-        row = a[i]
-        for j in range(t, n):
-            v = row[j]
-            if v:
-                v = -v if v < 0 else v
-                if best is None or v < best:
-                    best, best_pos = v, (i, j)
-                    if v == 1:
-                        return best_pos
-    return best_pos
+        i, j, p = least
+        pivot_row = rows[i]
+        remainder = False
+        for row in rows:
+            x = row.get(j)
+            if x and row is not pivot_row:
+                q = x // p
+                for c, y in pivot_row.items():
+                    v = row.get(c, 0) - q * y
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+                remainder = remainder or j in row
+        if not remainder:
+            rest = {c: y % p for c, y in pivot_row.items() if y % p}
+            if rest:
+                rest[j] = p
+            else:
+                diagonal.append(abs(p))
+            rows[i] = rest
+        rows = [row for row in rows if row]
+    # diag(a, b) and diag(gcd, lcm) are equivalent; units already divide all
+    diagonal.sort()
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            if diagonal[a] == 1:
+                break
+            x, y = diagonal[a], diagonal[b]
+            diagonal[a], diagonal[b] = gcd(x, y), lcm(x, y)
+    return tuple(diagonal)
 
 
 def reduced_homology(S: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ...]]]:

@@ -38,6 +38,16 @@ FILES = {
                             ["1", "5", "6"], ["1", "2", "6"], ["2", "3", "5"],
                             ["2", "4", "5"], ["2", "4", "6"], ["3", "4", "6"],
                             ["3", "5", "6"]]},
+    # the apex lift of ac.json and its assignment, as `lift --mode apex`
+    # prints them: logconcavity then takes the identity route
+    "ac-apex.json": {"vertices": ["1", "2", "3", "4", "5", "q"],
+                     "facets": [["1", "2", "3", "4", "5"], ["1", "3", "4", "q"],
+                                ["1", "3", "5", "q"], ["2", "3", "5", "q"],
+                                ["2", "4", "q"]]},
+    "ac-apex-alpha.json": [{"sigma": ["1", "2", "q"], "alpha": ["1", "2"]},
+                           {"sigma": ["2", "3", "4", "q"],
+                            "alpha": ["2", "3", "4"]},
+                           {"sigma": ["4", "5", "q"], "alpha": ["4", "5"]}],
     "bad-facet-label.json": {"vertices": ["a", "b"], "facets": [["a", "z"]]},
     "bad-generator-label.json": {"vertices": ["a", "b", "c"],
                                  "minimal_nonfaces": [["a", "b"], ["c", "y"]]},
@@ -64,6 +74,21 @@ RUNS = {
     "homology": ["homology", "rp2.json"],
     "uniform-apex": ["uniform", "--n", "9", "--r", "6", "--lift", "apex"],
     "cyclo-check": ["cyclo-check", "--primes", "3,5,7", "--j", "7"],
+    # runs whose bytes come from the Smith normal form: the top Betti number
+    # at c = 0 and c = -2, a zero-based FAIL, Z/2 in degree 2 (c = 2) and
+    # Z in degrees 2 and 3 (c = 0)
+    "cyclcheck-c0": ["cyclo-check", "--primes", "3,5,7", "--j", "3",
+                     "--mode", "cyclcheck"],
+    "cyclcheck-c-2": ["cyclo-check", "--primes", "3,5,7", "--j", "7",
+                      "--mode", "cyclcheck"],
+    "cyclo-check-zero": ["cyclo-check", "--primes", "3,5,7", "--j", "7",
+                         "--labeling", "zero"],
+    "cyclo-check-four-primes-torsion": ["cyclo-check", "--primes", "2,3,5,7",
+                                        "--j", "41"],
+    "cyclo-check-four-primes-free": ["cyclo-check", "--primes", "2,3,5,7",
+                                     "--j", "3"],
+    "logconcavity-identity": ["logconcavity", "ac-apex.json",
+                              "--alpha", "ac-apex-alpha.json"],
     "error-facet-label": ["chromatic", "bad-facet-label.json"],
     "error-generator-label": ["chromatic", "bad-generator-label.json"],
     "error-not-antichain": ["chromatic", "not-antichain.json"],
@@ -75,8 +100,18 @@ RUNS = {
 DIGESTS = {
     "chromatic-graph":
         "45359f2c3f466b4669da6edcc64dc1f90dbb3741272f44789e0fa4504b3344f4",
+    "cyclcheck-c-2":
+        "b717a4f5e9597be9fb738836c0e813484b0516843d64146029df82bddeecd3aa",
+    "cyclcheck-c0":
+        "09e8abb119d15a903c508e41e15f050f19380e290fdb6ef6f3f37553ed8bdca0",
     "cyclo-check":
         "126fd41912412e6fed042e269cf485ab70044fbedb29c48e81d0dd9288c118df",
+    "cyclo-check-four-primes-free":
+        "e920804f128026b64de705f6d0ef2434d8769af46bfad9663373c9ab441cc227",
+    "cyclo-check-four-primes-torsion":
+        "d7b462df144d055ebe8ff49a3d616b758570f35aca226af7451230a44397f1be",
+    "cyclo-check-zero":
+        "b6389dcce79c2871a4254ecfaf97374d43c9c6d61cbc40d5125c0aa98f56733c",
     "error-facet-label":
         "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
     "error-generator-label":
@@ -95,6 +130,8 @@ DIGESTS = {
         "f4edc6222e03a59a455c1bf2a437ce5311df3b02bb6e20d4c61957b2541f6f0d",
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
+    "logconcavity-identity":
+        "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
     "reciprocity-search":
         "e4a98506bef29b63e4511975d29bc7d53f7735597cd73d11143ad124efd470c2",
     "sweep-42":

@@ -1,6 +1,8 @@
 """Boundary matrices, Smith normal form, and reduced homology."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -28,6 +30,13 @@ def test_integer_matrix_validation():
         IntegerMatrix(((1, 2), (3,)))
     m = IntegerMatrix(((1, 2), (3, 4)))
     assert m.nrows == m.ncols == 2
+    with pytest.raises(TypeError, match="entries must be int"):
+        IntegerMatrix(((1, 2.7), (3, 4)))  # int() would truncate it to 2
+    with pytest.raises(TypeError):
+        IntegerMatrix(((1, "2"),))
+    assert IntegerMatrix(((True, 0),)).entries == ((1, 0),)
+    rows = ((1, 0), (0, 1))
+    assert all(a is b for a, b in zip(IntegerMatrix(rows).entries, rows))
 
 
 def test_boundary_matrix_shapes_and_signs():
@@ -104,6 +113,31 @@ def test_invariant_product_equals_determinant_magnitude():
         det = _det([list(r) for r in rows])
         if det != 0:
             assert len(inv) == n and prod == abs(det)
+
+
+def test_invariants_are_quotients_of_determinantal_divisors():
+    # d_1 * ... * d_k is the gcd of all k x k minors, an exact route that
+    # shares nothing with the elimination; past the rank every minor vanishes
+    rng = random.Random(17)
+    for trial in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        zeros = rng.random()  # density varies, so many matrices are singular
+        a = [[0 if rng.random() < zeros else rng.randint(-6, 6)
+              for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 0 and rows > 1:  # a dependent row
+            a[-1] = [x - 2 * y for x, y in zip(a[0], a[-2])]
+        inv = smith_normal_form(IntegerMatrix(tuple(map(tuple, a))))
+        product = 1
+        for k in range(1, min(rows, cols) + 1):
+            minors = [_det([[a[i][j] for j in cs] for i in rs])
+                      for rs in combinations(range(rows), k)
+                      for cs in combinations(range(cols), k)]
+            if k <= len(inv):
+                product *= inv[k - 1]
+                assert gcd(*minors) == product, (a, inv, k)
+            else:
+                assert not any(minors), (a, inv, k)
+                break
 
 
 def test_reduced_homology_fixtures():

@@ -259,6 +259,20 @@ def test_cli_lift_feeds_logconcavity(tmp_path, capsys):
     assert report["details"]["sub_results"]["chromatic"]["verdict"] == "PASS"
 
 
+def test_cli_rejects_an_assignment_of_another_complex(tmp_path, capsys):
+    # the sigma is not a minimal nonface of the square, so the identity route
+    # would report the chromatic polynomial of some other complex
+    square = write(tmp_path, "square.json", square_data())
+    alpha = write(tmp_path, "alpha.json",
+                  [{"sigma": ["q", "x", "y", "z"], "alpha": ["x", "y", "z"]}])
+    for command in ("logconcavity", "verify-theorem"):
+        assert main([command, square, "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: assignment sigmas differ from "
+                                "the minimal nonfaces of S\n")
+
+
 def test_cli_sweep_determinism(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
