@@ -12,15 +12,14 @@ from .auxiliary import (AlphaAssignment, auxiliary_complex,
                         search_alpha, verify_constant_component,
                         verify_main_theorem)
 from .chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY, chromatic_polynomial,
-                        complete_graph, complex_of_graph, component_count,
-                        finite_model_count, graph_chromatic, tidied_contraction,
+                        complete_graph, complex_of_graph, finite_model_count,
+                        graph_chromatic, tidied_contraction,
                         verify_addition_contraction)
-from .complexes import NonfaceFamily, SimplicialComplex, join, points_complex
+from .complexes import NonfaceFamily, SimplicialComplex
 from .cyclotomic import (CyclotomicSpec, build_residue_subcomplex,
                          check_constant_term_detection, check_cyclotomic_homology,
-                         cyclotomic_polynomial, facet_of_residue,
-                         group_join_complex)
-from .hilbert import (HVector, f_from_h, h_from_f, h_vector,
+                         cyclotomic_polynomial, facet_of_residue)
+from .hilbert import (HVector, h_from_f, h_vector,
                       numerator_by_inclusion_exclusion, numerator_from_h,
                       series_coefficients, standard_monomial_count)
 from .homology import (IntegerMatrix, boundary_matrix, reduced_homology,

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import NonfaceFamily, SimplicialComplex, fresh_label
+from .complexes import (NonfaceFamily, SimplicialComplex, _antichain_family,
+                        fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -225,11 +226,24 @@ def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
 
     Built relaxed: a single-element alpha makes its vertex a formal nonface
     vertex, which still contributes to the numerator's t-power bookkeeping.
+    The alphas are input, so they are checked as a NonfaceFamily.
     """
     alphas = assign.alphas
     family = NonfaceFamily(tuple(tuple(sorted(a)) for a in alphas))
     ground = sorted(set().union(*alphas)) if alphas else []
     return SimplicialComplex.from_minimal_nonfaces(ground, family, relaxed=True)
+
+
+def _lift(labels, alphas, sigmas):
+    """S on labels whose minimal nonfaces are the sigmas, and its assignment.
+
+    Each sigma is its alpha, a minimal nonface of T, plus vertices fresh to
+    T.  So sigma_i inside sigma_j puts alpha_i inside alpha_j, and the
+    sigmas are an antichain like the alphas: they skip the input check.
+    """
+    family = _antichain_family(tuple(sorted(s)) for s in sigmas)
+    S = SimplicialComplex.from_minimal_nonfaces(labels, family)
+    return S, AlphaAssignment(tuple(zip(sigmas, alphas)))
 
 
 def lift_with_apex(T: SimplicialComplex):
@@ -240,10 +254,7 @@ def lift_with_apex(T: SimplicialComplex):
     """
     q = fresh_label(set(T.vertices), "q")
     alphas = [frozenset(g) for g in T.minimal_nonfaces().generators]
-    sigmas = [a | {q} for a in alphas]
-    S = SimplicialComplex.from_minimal_nonfaces(
-        list(T.vertices) + [q], [tuple(sorted(s)) for s in sigmas])
-    return S, AlphaAssignment(tuple(zip(sigmas, alphas)))
+    return _lift(list(T.vertices) + [q], alphas, [a | {q} for a in alphas])
 
 
 def lift_disjoint(T: SimplicialComplex):
@@ -261,15 +272,14 @@ def lift_disjoint(T: SimplicialComplex):
         q = fresh_label(used, f"q{k + 1}")
         used.add(q)
         sigmas.append(a | {q})
-    S = SimplicialComplex.from_minimal_nonfaces(
-        sorted(used), [tuple(sorted(s)) for s in sigmas])
-    return S, AlphaAssignment(tuple(zip(sigmas, alphas)))
+    return _lift(sorted(used), alphas, sigmas)
 
 
 def require_matching_sigmas(S: SimplicialComplex, assign: AlphaAssignment) -> None:
-    """ValueError unless the assignment's sigmas are the minimal nonfaces of S."""
+    """ValueError unless the assignment's sigmas are the minimal nonfaces of
+    S, each given once."""
     nonfaces = {frozenset(S.labels_of(m)) for m in S.minimal_nonface_masks}
-    if set(assign.sigmas) != nonfaces:
+    if len(assign) != len(nonfaces) or set(assign.sigmas) != nonfaces:
         raise ValueError("assignment sigmas differ from the minimal nonfaces of S")
 
 

@@ -61,29 +61,6 @@ def complete_graph(n: int) -> Graph:
                  tuple((labs[i], labs[j]) for i in range(n) for j in range(i + 1, n)))
 
 
-def component_count(sets) -> int:
-    """Components of the intersection graph: sets adjacent iff they overlap."""
-    fsets = [frozenset(s) for s in sets]
-    for s in fsets:
-        if not s:
-            raise ValueError("empty input set")
-    parent = list(range(len(fsets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(fsets)):
-        for j in range(i + 1, len(fsets)):
-            if fsets[i] & fsets[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    return len({find(i) for i in range(len(fsets))})
-
-
 def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
     """Inclusion-exclusion over all subsets of the minimal nonfaces.
 

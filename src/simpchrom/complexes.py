@@ -9,13 +9,19 @@ generators) is exact both ways.
 A complex is "strict" when every vertex is required to be a face; auxiliary
 complexes built from companion-set families may carry formal vertices that
 are themselves nonfaces, and are constructed with ``relaxed=True``.
+
+A nonface family is checked once, where label sets enter the library: a
+``NonfaceFamily`` a caller builds, ``from_minimal_nonfaces`` given label
+lists, and ``auxiliary.auxiliary_complex`` on an assignment's alphas.
+Families derived from the masks of a complex (``minimal_nonfaces()`` and the
+sigma families of the lifts) are antichains by construction and are wrapped
+by ``_antichain_family`` without the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .report import GuardError
 
@@ -92,7 +98,12 @@ def _downward_closure(facet_masks) -> set[int]:
 
 @dataclass(frozen=True)
 class NonfaceFamily:
-    """Antichain of vertex-label sets: the squarefree ideal generators."""
+    """Antichain of vertex-label sets: the squarefree ideal generators.
+
+    Construction checks the family (no empty generator, no repeated vertex,
+    no generator inside another) and sorts it; this is the check every
+    family arriving as label sets goes through, once.
+    """
 
     generators: tuple[tuple[str, ...], ...]
 
@@ -115,6 +126,14 @@ class NonfaceFamily:
 
     def as_sets(self) -> list[frozenset]:
         return [frozenset(g) for g in self.generators]
+
+
+def _antichain_family(generators) -> NonfaceFamily:
+    """Sorted label tuples that form an antichain by construction, wrapped
+    and put in canonical order without the input check."""
+    family = object.__new__(NonfaceFamily)
+    object.__setattr__(family, "generators", tuple(sorted(generators)))
+    return family
 
 
 class SimplicialComplex:
@@ -148,7 +167,10 @@ class SimplicialComplex:
     @classmethod
     def from_minimal_nonfaces(cls, labels, generators,
                               relaxed: bool = False) -> "SimplicialComplex":
-        """Build the complex whose faces are exactly the generator-free subsets."""
+        """Build the complex whose faces are exactly the generator-free subsets.
+
+        Label lists are checked as a ``NonfaceFamily``; a family is taken as is.
+        """
         verts = _canonical_labels(labels)
         _check_vertex_count(len(verts))
         family = generators if isinstance(generators, NonfaceFamily) \
@@ -211,10 +233,6 @@ class SimplicialComplex:
         _check_vertex_count(self.n)
         return frozenset(_downward_closure(self.facet_masks))
 
-    def is_face(self, labels) -> bool:
-        m = self.mask_of(labels)
-        return any(m & f == m for f in self.facet_masks)
-
     @property
     def dimension(self) -> int:
         return max(m.bit_count() for m in self.facet_masks) - 1
@@ -248,23 +266,10 @@ class SimplicialComplex:
         return tuple(sorted(found, key=_mask_key))
 
     def minimal_nonfaces(self) -> NonfaceFamily:
-        return NonfaceFamily(tuple(self.labels_of(m)
-                                   for m in self.minimal_nonface_masks))
+        return _antichain_family(self.labels_of(m)
+                                 for m in self.minimal_nonface_masks)
 
     # -- derived complexes ---------------------------------------------------
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        """Subcomplex of the faces of dimension at most k."""
-        if k < 0 or k > self.dimension:
-            raise ValueError(f"skeleton index {k} outside 0..{self.dimension}")
-        kept = []
-        for m in self.facet_masks:
-            if m.bit_count() <= k + 1:
-                kept.append(m)
-            else:
-                kept.extend(_k_subsets(m, k + 1))
-        return SimplicialComplex(self.vertices,
-                                 _sort_masks(_antichain_max(kept)), self.relaxed)
 
     def add_face(self, labels) -> "SimplicialComplex":
         """Complex with one additional face (plus its subsets, vacuously)."""
@@ -294,15 +299,6 @@ def _sort_masks(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=_mask_key))
 
 
-def _k_subsets(mask: int, k: int):
-    verts = list(_bits(mask))
-    for combo in combinations(verts, k):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        yield m
-
-
 def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     """All maximal subsets of [n] containing no generator.
 
@@ -330,22 +326,6 @@ def _maximal_generator_free(n: int, gen_masks) -> list[int]:
             for v in _bits(hit):
                 stack.append(m & ~(1 << v))
     return _antichain_max(found)
-
-
-def join(s1: SimplicialComplex, s2: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes on disjoint label sets: faces are unions F1 | F2."""
-    overlap = set(s1.vertices) & set(s2.vertices)
-    if overlap:
-        raise ValueError(f"label collision in join: {sorted(overlap)}")
-    labels = s1.vertices + s2.vertices
-    facets = [tuple(f1) + tuple(f2) for f1 in s1.facets for f2 in s2.facets]
-    return SimplicialComplex.from_facets(labels, facets,
-                                         relaxed=s1.relaxed or s2.relaxed)
-
-
-def points_complex(labels) -> SimplicialComplex:
-    """The 0-dimensional complex on the given vertices."""
-    return SimplicialComplex.from_facets(labels, [[lab] for lab in labels])
 
 
 def fresh_label(existing, base: str) -> str:

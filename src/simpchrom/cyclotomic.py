@@ -164,11 +164,6 @@ def included_residues(spec: CyclotomicSpec, A) -> tuple[int, ...]:
     return tuple(sorted(residues))
 
 
-def group_join_complex(spec: CyclotomicSpec) -> SimplicialComplex:
-    """Join of the discrete vertex groups: facets are all transversals."""
-    return build_residue_subcomplex(spec, range(spec.phi + 1))
-
-
 def build_residue_subcomplex(spec: CyclotomicSpec, A) -> SimplicialComplex:
     """Codimension-one skeleton of the join plus the facets selected by A."""
     if spec.d < 2:
@@ -181,12 +176,6 @@ def build_residue_subcomplex(spec: CyclotomicSpec, A) -> SimplicialComplex:
         facets.extend(product(*kept))
     labels = [v for g in groups for v in g]
     return SimplicialComplex.from_facets(labels, facets)
-
-
-def zero_coefficient_indices(spec: CyclotomicSpec) -> tuple[int, ...]:
-    """Degrees j in 0..phi(n) where the cyclotomic coefficient vanishes."""
-    poly = cyclotomic_polynomial(spec.n)
-    return tuple(j for j in range(spec.phi + 1) if poly[j] == 0)
 
 
 def _expected_homology(spec: CyclotomicSpec, c_j: int) -> dict:

@@ -1,4 +1,4 @@
-"""Stanley-Reisner Hilbert-series numerators and f/h-vector conversions.
+"""Stanley-Reisner Hilbert-series numerators and the f-to-h conversion.
 
 The numerator K(t) over (1-t)^n is computed two independent ways: by
 inclusion-exclusion over generator subsets (union of squarefree supports =
@@ -67,16 +67,6 @@ def h_from_f(f, d: int) -> tuple[int, ...]:
         raise ValueError(f"f-vector of length {len(f)} inconsistent with d = {d}")
     return tuple(
         sum((-1) ** (j - i) * comb(d - i, j - i) * f[i] for i in range(j + 1))
-        for j in range(d + 1))
-
-
-def f_from_h(h, d: int) -> tuple[int, ...]:
-    """Inverse transform: f_{j-1} = sum_i C(d-i, j-i) h_i."""
-    h = tuple(h)
-    if len(h) != d + 1:
-        raise ValueError(f"h-vector of length {len(h)} inconsistent with d = {d}")
-    return tuple(
-        sum(comb(d - i, j - i) * h[i] for i in range(j + 1))
         for j in range(d + 1))
 
 

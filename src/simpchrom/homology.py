@@ -42,18 +42,6 @@ class IntegerMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = other.ncols
-        return IntegerMatrix(tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j]
-                      for k in range(self.ncols)) for j in range(cols))
-            for i in range(self.nrows)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
 
 def faces_of_dimension(S: SimplicialComplex, k: int) -> list[int]:
     """Masks of the k-dimensional faces in lexicographic vertex order."""

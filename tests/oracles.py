@@ -1,0 +1,66 @@
+"""Independent oracles the tests check the library against.
+
+No library code calls them.  Each restates a definition on labels and plain
+sets, away from the bitmask code it checks.
+"""
+
+from math import comb
+
+from simpchrom.complexes import SimplicialComplex
+
+
+def points_complex(labels) -> SimplicialComplex:
+    """The 0-dimensional complex on the given vertices."""
+    return SimplicialComplex.from_facets(labels, [[lab] for lab in labels])
+
+
+def join(s1: SimplicialComplex, s2: SimplicialComplex) -> SimplicialComplex:
+    """Join of two complexes on disjoint label sets: faces are unions F1 | F2."""
+    overlap = set(s1.vertices) & set(s2.vertices)
+    if overlap:
+        raise ValueError(f"label collision in join: {sorted(overlap)}")
+    labels = s1.vertices + s2.vertices
+    facets = [tuple(f1) + tuple(f2) for f1 in s1.facets for f2 in s2.facets]
+    return SimplicialComplex.from_facets(labels, facets,
+                                         relaxed=s1.relaxed or s2.relaxed)
+
+
+def is_face(S: SimplicialComplex, labels) -> bool:
+    """Is the label set contained in some facet of S?"""
+    unknown = set(labels) - set(S.vertices)
+    if unknown:
+        raise ValueError(f"unknown labels {sorted(unknown)}")
+    return any(set(labels) <= set(f) for f in S.facets)
+
+
+def f_from_h(h, d: int) -> tuple[int, ...]:
+    """Inverse h-to-f transform: f_{j-1} = sum_i C(d-i, j-i) h_i."""
+    h = tuple(h)
+    if len(h) != d + 1:
+        raise ValueError(f"h-vector of length {len(h)} inconsistent with d = {d}")
+    return tuple(
+        sum(comb(d - i, j - i) * h[i] for i in range(j + 1))
+        for j in range(d + 1))
+
+
+def component_count(sets) -> int:
+    """Components of the intersection graph: sets adjacent iff they overlap."""
+    fsets = [frozenset(s) for s in sets]
+    for s in fsets:
+        if not s:
+            raise ValueError("empty input set")
+    parent = list(range(len(fsets)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(fsets)):
+        for j in range(i + 1, len(fsets)):
+            if fsets[i] & fsets[j]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    return len({find(i) for i in range(len(fsets))})

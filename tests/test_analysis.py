@@ -1,15 +1,21 @@
 """Matroid fixtures, log-concavity reports, and palindromic symmetry."""
 
+import random
+
 import pytest
 
+from simpchrom import sweep
 from simpchrom.analysis import (dehn_sommerville_check, log_concavity_report,
                                 octahedron_boundary, reciprocity_report,
                                 uniform_matroid_complex)
-from simpchrom.auxiliary import lift_disjoint, lift_with_apex
+from simpchrom.auxiliary import (AlphaAssignment, lift_disjoint, lift_with_apex,
+                                 verify_main_theorem)
 from simpchrom.chromatic import chromatic_polynomial
-from simpchrom.complexes import SimplicialComplex, points_complex
+from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.hilbert import h_vector
 from simpchrom.polynomials import IntPolynomial, substitute_shift
+
+from oracles import points_complex
 
 P = IntPolynomial
 SC = SimplicialComplex
@@ -132,3 +138,53 @@ def test_reciprocity_square_polygon_auxiliary():
     s, assign = lift_with_apex(square)
     rep = reciprocity_report(s, assign)
     assert rep.passed and rep.details["sign"] == 1
+
+
+@pytest.fixture
+def antichain_checks(monkeypatch):
+    """The generators of every NonfaceFamily that runs the input check."""
+    checks = []
+    check = NonfaceFamily.__post_init__
+
+    def counted(self):
+        checks.append(self.generators)
+        check(self)
+
+    monkeypatch.setattr(NonfaceFamily, "__post_init__", counted)
+    return checks
+
+
+@pytest.mark.parametrize("build", [octahedron_boundary,
+                                   lambda: uniform_matroid_complex(9, 4)],
+                         ids=["octahedron", "U(9,4)"])
+def test_a_lift_and_its_report_check_only_the_alphas(build, antichain_checks):
+    # the octahedron's 3 sigmas take the exhaustive target-invariant scan,
+    # U(9,4)'s 126 the apex shortcut
+    T = build()
+    antichain_checks.clear()
+    S, assign = lift_with_apex(T)
+    assert antichain_checks == []
+    rep = log_concavity_report(S, assign)
+    assert rep.details["chromatic_route"] == "identity"
+    # auxiliary_complex takes the alphas from the assignment: one check
+    assert len(antichain_checks) == 1
+    assert {frozenset(a) for a in antichain_checks[0]} == set(assign.alphas)
+
+
+def test_the_sweep_round_trip_checks_no_family(antichain_checks):
+    rows = sweep._roundtrip_rows(random.Random(42), 42, 20)
+    assert all(row["verdict"] == "PASS" for row in rows)
+    # one check per sampled complex, whose nonfaces arrive as label lists;
+    # the round trip through minimal_nonfaces() adds none
+    assert len(antichain_checks) == 20
+
+
+def test_a_repeated_sigma_is_rejected():
+    # as a set the sigmas are the square's minimal nonfaces; ac is given twice
+    square = SC.from_minimal_nonfaces("abcd", [("a", "c"), ("b", "d")])
+    assign = AlphaAssignment(((frozenset("ac"), frozenset("a")),
+                              (frozenset("ac"), frozenset("c")),
+                              (frozenset("bd"), frozenset("b"))))
+    for check in (verify_main_theorem, log_concavity_report, reciprocity_report):
+        with pytest.raises(ValueError, match="differ from the minimal nonfaces"):
+            check(square, assign)

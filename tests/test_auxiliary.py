@@ -12,12 +12,14 @@ from simpchrom.auxiliary import (AlphaAssignment, LITERAL, STRICT,
                                  is_apex_assignment, lift_disjoint, lift_with_apex,
                                  search_alpha, verify_constant_component,
                                  verify_main_theorem)
-from simpchrom.chromatic import chromatic_polynomial, component_count
-from simpchrom.complexes import NonfaceFamily, SimplicialComplex, points_complex
+from simpchrom.chromatic import chromatic_polynomial
+from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.hilbert import numerator_by_inclusion_exclusion
 from simpchrom.polynomials import IntPolynomial, reciprocal
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex, random_intersecting_complex
+
+from oracles import component_count, points_complex
 
 P = IntPolynomial
 SC = SimplicialComplex
@@ -192,6 +194,36 @@ def test_lift_disjoint_fixtures():
     assert s2.n == 3
     with pytest.raises(ValueError, match="not disjoint"):
         lift_disjoint(SC.from_minimal_nonfaces("123", [("1", "2"), ("2", "3")]))
+
+
+def disjoint_nonface_complex(rng):
+    """Strict complex whose minimal nonfaces are pairwise disjoint blocks."""
+    labels = list("abcdefghij"[:rng.randint(2, 10)])
+    rest = rng.sample(labels, len(labels))
+    blocks = []
+    while len(rest) >= 2 and rng.random() < 0.85:
+        size = rng.randint(2, min(4, len(rest)))
+        blocks.append(rest[:size])
+        rest = rest[size:]
+    return SC.from_minimal_nonfaces(labels, blocks)
+
+
+def test_lifts_equal_the_checked_construction():
+    # the lifts build S from their sigma family without the input check;
+    # given as label lists, the same sigmas take it
+    rng = random.Random(61)
+    lifts = [lift_with_apex(random_complex(rng, n_max=8)) for _ in range(40)]
+    for _ in range(40):
+        t = disjoint_nonface_complex(rng)
+        lifts += [lift_with_apex(t), lift_disjoint(t)]
+    assert max(len(assign) for _, assign in lifts) >= 5
+    for s, assign in lifts:
+        sigmas = [sorted(x) for x in assign.sigmas]
+        checked = SC.from_minimal_nonfaces(s.vertices, sigmas)
+        assert s == checked
+        assert s.minimal_nonface_masks == checked.minimal_nonface_masks == \
+            SC(s.vertices, s.facet_masks).minimal_nonface_masks
+        assert s.minimal_nonfaces() == NonfaceFamily(tuple(map(tuple, sigmas)))
 
 
 def test_verify_main_theorem_three_fixtures():

@@ -8,10 +8,12 @@ pins the clever versions down.
 import random
 from itertools import combinations
 
-from simpchrom.chromatic import chromatic_polynomial, component_count
-from simpchrom.complexes import SimplicialComplex, join, points_complex
+from simpchrom.chromatic import chromatic_polynomial
+from simpchrom.complexes import SimplicialComplex
 from simpchrom.polynomials import IntPolynomial
 from simpchrom.sampling import random_complex
+
+from oracles import component_count, is_face, join, points_complex
 
 P = IntPolynomial
 SC = SimplicialComplex
@@ -39,16 +41,16 @@ def naive_minimal_nonfaces(S):
     out = []
     for k in range(1, S.n + 1):
         for sub in combinations(verts, k):
-            if S.is_face(sub):
+            if is_face(S, sub):
                 continue
-            if all(S.is_face(sub[:i] + sub[i + 1:]) for i in range(k)):
+            if all(is_face(S, sub[:i] + sub[i + 1:]) for i in range(k)):
                 out.append(sub)
     return tuple(out)
 
 
 def naive_maximal_faces(S):
     faces = [sub for k in range(S.n + 1)
-             for sub in combinations(S.vertices, k) if S.is_face(sub)]
+             for sub in combinations(S.vertices, k) if is_face(S, sub)]
     sets = [set(f) for f in faces]
     return {tuple(sorted(f)) for f in faces
             if not any(set(f) < g for g in sets)}

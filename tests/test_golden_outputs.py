@@ -48,6 +48,14 @@ FILES = {
                            {"sigma": ["2", "3", "4", "q"],
                             "alpha": ["2", "3", "4"]},
                            {"sigma": ["4", "5", "q"], "alpha": ["4", "5"]}],
+    # sigma ac given twice: as a set the sigmas are the square's minimal
+    # nonfaces, as a list they are not
+    "square-repeated-sigma.json": [{"sigma": ["a", "c"], "alpha": ["a"]},
+                                   {"sigma": ["a", "c"], "alpha": ["c"]},
+                                   {"sigma": ["b", "d"], "alpha": ["b"]}],
+    # the right sigmas, but both alphas are {a}: not an antichain
+    "square-alpha-not-antichain.json": [{"sigma": ["a", "c"], "alpha": ["a"]},
+                                        {"sigma": ["b", "d"], "alpha": ["a"]}],
     "bad-facet-label.json": {"vertices": ["a", "b"], "facets": [["a", "z"]]},
     "bad-generator-label.json": {"vertices": ["a", "b", "c"],
                                  "minimal_nonfaces": [["a", "b"], ["c", "y"]]},
@@ -89,6 +97,14 @@ RUNS = {
                                      "--j", "3"],
     "logconcavity-identity": ["logconcavity", "ac-apex.json",
                               "--alpha", "ac-apex-alpha.json"],
+    "error-repeated-sigma-verify": ["verify-theorem", "square.json", "--alpha",
+                                    "square-repeated-sigma.json"],
+    "error-repeated-sigma-logconcavity": ["logconcavity", "square.json",
+                                          "--alpha", "square-repeated-sigma.json"],
+    "error-repeated-sigma-reciprocity": ["reciprocity", "square.json", "--alpha",
+                                         "square-repeated-sigma.json"],
+    "error-alpha-not-antichain": ["verify-theorem", "square.json", "--alpha",
+                                  "square-alpha-not-antichain.json"],
     "error-facet-label": ["chromatic", "bad-facet-label.json"],
     "error-generator-label": ["chromatic", "bad-generator-label.json"],
     "error-not-antichain": ["chromatic", "not-antichain.json"],
@@ -112,12 +128,20 @@ DIGESTS = {
         "d7b462df144d055ebe8ff49a3d616b758570f35aca226af7451230a44397f1be",
     "cyclo-check-zero":
         "b6389dcce79c2871a4254ecfaf97374d43c9c6d61cbc40d5125c0aa98f56733c",
+    "error-alpha-not-antichain":
+        "ac4d5379c1c851542552d392624837c4a93145513c929014a0bfe77b68552da4",
     "error-facet-label":
         "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
     "error-generator-label":
         "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
     "error-not-antichain":
         "38b97ba30dacc438b420ff20f8ae5a27dcb972127e955049bc0387c3a3e90919",
+    "error-repeated-sigma-logconcavity":
+        "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
+    "error-repeated-sigma-reciprocity":
+        "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
+    "error-repeated-sigma-verify":
+        "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
     "guard-vertices-facets":

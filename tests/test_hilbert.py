@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from simpchrom.complexes import NonfaceFamily, SimplicialComplex, points_complex
-from simpchrom.hilbert import (f_from_h, h_from_f, h_vector,
+from simpchrom.complexes import NonfaceFamily, SimplicialComplex
+from simpchrom.hilbert import (h_from_f, h_vector,
                                numerator_by_inclusion_exclusion,
                                numerator_from_h, series_coefficients,
                                standard_monomial_count)
 from simpchrom.polynomials import IntPolynomial
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
+
+from oracles import f_from_h, points_complex
 
 P = IntPolynomial
 SC = SimplicialComplex

@@ -8,11 +8,13 @@ import pytest
 
 from simpchrom import homology
 from simpchrom.analysis import uniform_matroid_complex
-from simpchrom.complexes import SimplicialComplex, points_complex
+from simpchrom.complexes import SimplicialComplex
 from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology,
                                 smith_normal_form)
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
+
+from oracles import points_complex
 
 SC = SimplicialComplex
 
@@ -58,8 +60,10 @@ def test_boundary_squared_is_zero():
     complexes += [random_complex(rng, n_max=6) for _ in range(10)]
     for s in complexes:
         for k in range(s.dimension):
-            prod = boundary_matrix(s, k).multiply(boundary_matrix(s, k + 1))
-            assert prod.is_zero()
+            a = boundary_matrix(s, k).entries
+            b = boundary_matrix(s, k + 1).entries
+            assert all(sum(x * y for x, y in zip(row, col)) == 0
+                       for row in a for col in zip(*b))
 
 
 def test_smith_normal_form_fixtures():
