@@ -20,6 +20,7 @@ from .polynomials import (IntPolynomial, is_log_concave, is_signed_palindrome,
 from .report import CheckReport, GuardError, NOT_APPLICABLE, PASS, report
 
 UNIFORM_VERTEX_LIMIT = 20
+_ANTIPODAL_PAIRS = (("a", "c"), ("b", "d"), ("e", "f"))
 
 
 def uniform_matroid_complex(n: int, r: int) -> SimplicialComplex:
@@ -38,8 +39,7 @@ def uniform_matroid_complex(n: int, r: int) -> SimplicialComplex:
 
 def octahedron_boundary() -> SimplicialComplex:
     """Boundary of the octahedron: antipodal pairs ef, ac, bd are the nonfaces."""
-    return SimplicialComplex.from_minimal_nonfaces(
-        "abcdef", [("a", "c"), ("b", "d"), ("e", "f")])
+    return SimplicialComplex.from_minimal_nonfaces("abcdef", _ANTIPODAL_PAIRS)
 
 
 def _chromatic_if_possible(S, assign):
@@ -145,7 +145,9 @@ def reciprocity_report(S: SimplicialComplex, assign: AlphaAssignment) -> CheckRe
         "d_T": d_t,
         "palindrome": palindrome.to_dict(),
     }
-    if auxiliary_complex(assign) == octahedron_boundary():
+    # T is built on the union of the alphas, its minimal nonfaces, so it is
+    # the octahedron boundary exactly when the alphas are the antipodal pairs
+    if set(assign.alphas) == {frozenset(p) for p in _ANTIPODAL_PAIRS}:
         details["literal_t5_t3_claim"] = {
             "t5": chi_c[5], "t3": chi_c[3], "equal": chi_c[5] == chi_c[3]}
     return CheckReport("reciprocity", palindrome.verdict, palindrome.witness,

@@ -3,8 +3,10 @@
 The polynomial is t^n plus, for every nonempty subset I of the minimal
 nonfaces, a signed term t^(n - |union of I| + c(I)) where c(I) counts the
 connected components of the intersection graph of I.  Two independent
-oracles live alongside: a finite-model tuple counter and the classical
-graph chromatic polynomial via deletion-contraction.
+oracles live alongside: the finite-model count, which counts the colourings
+with no monochromatic minimal nonface by placing vertices into colour classes
+(it shares only the nonface bitmasks with the walk), and the classical graph
+chromatic polynomial via deletion-contraction.
 
 Sign convention: the direct inclusion-exclusion expansion of the removed
 diagonal union; it reproduces the falling factorial on complete graphs and
@@ -102,40 +104,46 @@ def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
 def finite_model_count(S: SimplicialComplex, q: int) -> int:
     """Tuples in {1..q}^n whose coordinates are not all equal on any nonface.
 
-    Independent oracle: exhaustive backtracking over coordinate assignments
-    with satisfied constraints dropped and a free-tail shortcut.  Exact.
+    Independent oracle, exact: colours are interchangeable, so vertices are
+    placed in order into colour classes.  A vertex joins one of the k classes
+    in use or opens a new one, which any of the q - k unused colours can
+    take.  Each minimal nonface is tested once, at its highest vertex: the
+    rest of it must not lie in the class that vertex joins.  Past the last
+    such vertex every tuple of the tail counts, q^(n - v) of them.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     n = S.n
     if q ** n > MODEL_LIMIT:
         raise GuardError("model_size", f"q^n = {q}^{n} exceeds {MODEL_LIMIT}")
-    gens = S.minimal_nonface_masks
-    cons = [tuple(_bits(g)) for g in gens]
-    colors = [0] * n
+    rests = [[] for _ in range(n)]  # each nonface minus its highest vertex
+    last = 0  # first vertex of the free tail
+    for g in S.minimal_nonface_masks:
+        top = g.bit_length() - 1
+        rests[top].append(g ^ (1 << top))
+        last = max(last, top + 1)
+    classes = []
 
-    def count(v, unsat):
-        if not unsat:
+    def count(v):
+        if v == last:
             return q ** (n - v)
+        bit = 1 << v
+        tests = rests[v]
         total = 0
-        for c in range(q):
-            colors[v] = c
-            keep = []
-            ok = True
-            for i in unsat:
-                vs = cons[i]
-                if v in vs:
-                    if v != vs[0] and colors[vs[0]] != c:
-                        continue  # some pair differs: satisfied forever
-                    if v == vs[-1]:
-                        ok = False  # fully assigned and monochromatic
-                        break
-                keep.append(i)
-            if ok:
-                total += count(v + 1, keep)
+        for i, cls in enumerate(classes):
+            if all(rest & ~cls for rest in tests):
+                classes[i] = cls | bit
+                total += count(v + 1)
+                classes[i] = cls
+        k = len(classes)
+        # a new class holds v alone: only a singleton nonface (rest 0) lies in it
+        if k < q and all(tests):
+            classes.append(bit)
+            total += (q - k) * count(v + 1)
+            classes.pop()
         return total
 
-    return count(0, list(range(len(cons))))
+    return count(0)
 
 
 def complex_of_graph(G: Graph) -> SimplicialComplex:

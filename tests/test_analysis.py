@@ -171,6 +171,34 @@ def test_a_lift_and_its_report_check_only_the_alphas(build, antichain_checks):
     assert {frozenset(a) for a in antichain_checks[0]} == set(assign.alphas)
 
 
+@pytest.fixture
+def dualizations(monkeypatch):
+    """The vertex labels of every from_minimal_nonfaces call."""
+    calls = []
+    build = SC.from_minimal_nonfaces.__func__
+
+    def counted(cls, labels, generators, relaxed=False):
+        calls.append(labels)
+        return build(cls, labels, generators, relaxed)
+
+    monkeypatch.setattr(SC, "from_minimal_nonfaces", classmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("lift", [lift_disjoint, lift_with_apex])
+def test_a_reciprocity_report_builds_its_auxiliary_complex_once(
+        lift, antichain_checks, dualizations):
+    # both lifts of the octahedron have the antipodal pairs as alphas, so
+    # their auxiliary complex is the octahedron and the literal claim is kept
+    S, assign = lift(octahedron_boundary())
+    antichain_checks.clear()
+    dualizations.clear()
+    rep = reciprocity_report(S, assign)
+    assert rep.passed and "literal_t5_t3_claim" in rep.details
+    assert len(antichain_checks) == 1
+    assert dualizations == [list("abcdef")]
+
+
 def test_the_sweep_round_trip_checks_no_family(antichain_checks):
     rows = sweep._roundtrip_rows(random.Random(42), 42, 20)
     assert all(row["verdict"] == "PASS" for row in rows)

@@ -63,19 +63,75 @@ def test_complete_graph_specialization():
         assert chromatic_polynomial(complex_of_graph(g)) == falling_factorial(n)
 
 
+def literal_model_count(s, q):
+    """Independent re-derivation: walk every tuple and test each nonface."""
+    nonfaces = [set(g) for g in s.minimal_nonfaces().generators]
+    brute = 0
+    for tup in product(range(q), repeat=s.n):
+        colors = dict(zip(s.vertices, tup))
+        if all(len({colors[v] for v in nf}) > 1 for nf in nonfaces):
+            brute += 1
+    return brute
+
+
 def test_finite_model_count_by_literal_enumeration():
-    # independent re-derivation: walk every tuple and test each nonface
     rng = random.Random(12)
     for _ in range(15):
         s = random_complex(rng, n_min=2, n_max=4, r_max=3)
-        nonfaces = [set(g) for g in s.minimal_nonfaces().generators]
         for q in range(4):
-            brute = 0
-            for tup in product(range(q), repeat=s.n):
-                colors = dict(zip(s.vertices, tup))
-                if all(len({colors[v] for v in nf}) > 1 for nf in nonfaces):
-                    brute += 1
+            brute = literal_model_count(s, q)
             assert finite_model_count(s, q) == brute
+
+
+def test_finite_model_count_on_relaxed_and_free_vertices():
+    # singleton nonfaces leave a vertex no colour; vertices in no nonface
+    # sit before, between and after the constrained ones; q runs from 0
+    # past n
+    complexes = [
+        SC.from_minimal_nonfaces("a", [("a",)], relaxed=True),
+        SC.from_minimal_nonfaces("abcd", [("c",), ("a", "b")], relaxed=True),
+        SC.from_minimal_nonfaces("abcd", [("a", "d")]),
+        SC.from_minimal_nonfaces("abcde", [("a", "b", "c"), ("c", "d")]),
+        SC.from_minimal_nonfaces("abcde", [("b", "c")]),
+        SC.from_minimal_nonfaces("abc", []),
+    ]
+    rng = random.Random(5)
+    while len(complexes) < 40:
+        labels = "abcd"[:rng.randint(1, 4)]
+        family = []
+        for _ in range(rng.randint(1, 4)):
+            g = set(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
+            if not any(g <= h or h <= g for h in family):
+                family.append(g)
+        complexes.append(SC.from_minimal_nonfaces(labels, family, relaxed=True))
+    assert sum(any(len(g) == 1 for g in s.minimal_nonfaces().generators)
+               for s in complexes) >= 10
+    for s in complexes:
+        for q in range(s.n + 3):
+            assert finite_model_count(s, q) == literal_model_count(s, q)
+
+
+def test_finite_model_count_under_a_relabeling():
+    # reversing the labels makes each nonface's highest vertex its lowest
+    rng = random.Random(23)
+    for _ in range(25):
+        s = random_complex(rng, n_min=3, n_max=6, r_max=4)
+        rename = dict(zip(s.vertices, reversed(s.vertices)))
+        t = SC.from_minimal_nonfaces(
+            s.vertices, [[rename[v] for v in g]
+                         for g in s.minimal_nonfaces().generators])
+        for q in range(s.n + 2):
+            count = finite_model_count(s, q)
+            assert finite_model_count(t, q) == count
+            if s.n <= 4:
+                assert literal_model_count(t, q) == count
+
+
+def test_finite_model_count_at_large_q_within_the_guard():
+    # q^n just under the 10^8 guard; chi_c is q^2 (q-1)^2 and q (q-1)
+    assert finite_model_count(square_complex(), 100) == 98_010_000
+    edge = SC.from_minimal_nonfaces("ab", [("a", "b")])
+    assert finite_model_count(edge, 10 ** 4) == 99_990_000
 
 
 def test_finite_model_fixtures():

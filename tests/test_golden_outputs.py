@@ -111,6 +111,12 @@ RUNS = {
     "error-repeated-vertex": ["chromatic", "repeated-vertex.json"],
     "guard-vertices-facets": ["chromatic", "wide-facets.json"],
     "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
+    # e lies in no minimal nonface, so the count ends on a free tail
+    "oracle-count-free-tail": ["oracle-count", "lonely.json", "--q", "3"],
+    "oracle-count": ["oracle-count", "ac.json", "--q", "4"],
+    "oracle-count-q0": ["oracle-count", "tri.json", "--q", "0"],
+    "guard-model-size": ["oracle-count", "square.json", "--q", "101"],
+    "error-negative-q": ["oracle-count", "square.json", "--q", "-1"],
 }
 
 DIGESTS = {
@@ -134,6 +140,8 @@ DIGESTS = {
         "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
     "error-generator-label":
         "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
+    "error-negative-q":
+        "5395183ac5e78a83cc1ed5fbb5b62840d1deb41c6079184470b0d0ec67225217",
     "error-not-antichain":
         "38b97ba30dacc438b420ff20f8ae5a27dcb972127e955049bc0387c3a3e90919",
     "error-repeated-sigma-logconcavity":
@@ -144,6 +152,8 @@ DIGESTS = {
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
+    "guard-model-size":
+        "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
     "guard-vertices-facets":
         "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
     "guard-vertices-nonfaces":
@@ -156,6 +166,12 @@ DIGESTS = {
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
+    "oracle-count":
+        "0b44e116afd3f50ce80f3f9e96ffa191f0e85077fd2651b7123885d40f3b5d51",
+    "oracle-count-free-tail":
+        "dbcc4669a1987dc4dfb541fd5b8b7bd3e41621acead58aa8468ff5228898f8a9",
+    "oracle-count-q0":
+        "450322c047c809c718eacdf733e477c0efcc525d70b7a4330bd180e5d738c356",
     "reciprocity-search":
         "e4a98506bef29b63e4511975d29bc7d53f7735597cd73d11143ad124efd470c2",
     "sweep-42":
