@@ -233,6 +233,15 @@ class SimplicialComplex:
         _check_vertex_count(self.n)
         return frozenset(_downward_closure(self.facet_masks))
 
+    @cached_property
+    def faces_by_size(self) -> tuple[tuple[int, ...], ...]:
+        """Face masks grouped by vertex count, entry i holding the faces with
+        i vertices in lexicographic vertex order; sorted once per complex."""
+        groups = [[] for _ in range(self.dimension + 2)]
+        for m in self.face_masks:
+            groups[m.bit_count()].append(m)
+        return tuple(tuple(sorted(g, key=_mask_key)) for g in groups)
+
     @property
     def dimension(self) -> int:
         return max(m.bit_count() for m in self.facet_masks) - 1

@@ -1,7 +1,8 @@
 """Cyclotomic polynomials and the residue-labeled join subcomplexes.
 
 The polynomial oracle multiplies and exactly divides (x^(n/d) - 1) factors
-according to the Moebius function.  The complex builder joins one discrete
+over the squarefree divisors d of n, the only ones with a nonzero Moebius
+value; a spec computes its Phi_n once.  The complex builder joins one discrete
 vertex group per prime; facets of the join are transversals and correspond
 to residues mod the product by CRT.  A subcomplex keeps the codimension-one
 skeleton plus a chosen set of facets.  The chosen index set names residues
@@ -13,8 +14,9 @@ selectable as the recorded counter-example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import isqrt
+from functools import cached_property
+from itertools import combinations, product
+from math import prod
 
 from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
@@ -46,38 +48,25 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == {p: 1}
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _moebius(n: int) -> int:
-    exponents = _prime_factors(n).values()
-    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-
-
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """Phi_n via the Moebius product of (x^(n/d) - 1) factors; degree phi(n)."""
+    """Phi_n as the product of (x^(n/d) - 1)^mu(d); degree phi(n).
+
+    Only squarefree d have mu(d) != 0: d is the product of a set of the
+    primes of n, and mu(d) is -1 to the size of that set.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > CYCLOTOMIC_LIMIT:
         raise GuardError("cyclotomic_index", f"n = {n} exceeds {CYCLOTOMIC_LIMIT}")
-    numerator = IntPolynomial.one()
-    denominator = IntPolynomial.one()
-    for d in _divisors(n):
-        mu = _moebius(d)
-        if mu == 0:
-            continue
-        factor = IntPolynomial.monomial(n // d) - 1
-        if mu == 1:
-            numerator = numerator * factor
-        else:
-            denominator = denominator * factor
+    primes = list(_prime_factors(n))
+    numerator = denominator = IntPolynomial.one()
+    for size in range(len(primes) + 1):
+        for subset in combinations(primes, size):
+            factor = IntPolynomial.monomial(n // prod(subset)) - 1
+            if size % 2:
+                denominator = denominator * factor
+            else:
+                numerator = numerator * factor
     return numerator.exact_divide(denominator)
 
 
@@ -114,10 +103,12 @@ class CyclotomicSpec:
 
     @property
     def n(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return prod(self.primes)
+
+    @cached_property
+    def cyclotomic(self) -> IntPolynomial:
+        """Phi_n, computed once per spec."""
+        return cyclotomic_polynomial(self.n)
 
     @property
     def phi(self) -> int:
@@ -198,14 +189,18 @@ def _expected_homology(spec: CyclotomicSpec, c_j: int) -> dict:
     return out
 
 
+def _residue_case(spec: CyclotomicSpec, j: int) -> tuple[int, SimplicialComplex]:
+    """c_j of Phi_n and the single-facet subcomplex of residue j."""
+    if not 0 <= j <= spec.phi:
+        raise ValueError(f"j = {j} outside 0..{spec.phi}")
+    return spec.cyclotomic[j], build_residue_subcomplex(spec, {j})
+
+
 def check_cyclotomic_homology(spec: CyclotomicSpec, j: int) -> CheckReport:
     """Compare SNF homology of the single-facet subcomplex, under the spec's
     residue labeling, against the coefficient oracle."""
-    if not 0 <= j <= spec.phi:
-        raise ValueError(f"j = {j} outside 0..{spec.phi}")
-    c_j = cyclotomic_polynomial(spec.n)[j]
+    c_j, T = _residue_case(spec, j)
     expected = _expected_homology(spec, c_j)
-    T = build_residue_subcomplex(spec, {j})
     actual = reduced_homology(T)
     match = all(actual.get(k, (0, ())) == expected[k] for k in expected) \
         and all(k in expected or actual[k] == (0, ()) for k in actual)
@@ -234,10 +229,7 @@ def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
     identity and the literal constant term of chi_c (identically zero here)
     are recorded.
     """
-    if not 0 <= j <= spec.phi:
-        raise ValueError(f"j = {j} outside 0..{spec.phi}")
-    c_j = cyclotomic_polynomial(spec.n)[j]
-    T = build_residue_subcomplex(spec, {j})
+    c_j, T = _residue_case(spec, j)
     h = h_vector(T)
     h_top = h.entries[-1]
     chi_reduced = T.euler_characteristics()[1]

@@ -4,8 +4,9 @@ Boundary operators are exact integer matrices over lexicographically ordered
 faces, built once as tuple rows; ranks and torsion come from a Smith normal
 form computed by exact elimination over sparse rows.  Boundary entries are
 0 and +-1, so nearly every pivot is a unit and the rows stay short.  No
-modular tricks.  The face-count and SNF size guards both fire in
-``boundary_matrix``, before a matrix is allocated.
+modular tricks.  The face-count and SNF size guards read the face counts
+alone: ``boundary_matrix`` checks them before a matrix is allocated, and
+``reduced_homology`` checks every degree before its first SNF.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
-from .complexes import SimplicialComplex, _bits, _mask_key
+from .complexes import SimplicialComplex, _bits
 from .report import GuardError
 
 FACE_COUNT_LIMIT = 5000
@@ -43,27 +44,18 @@ class IntegerMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def faces_of_dimension(S: SimplicialComplex, k: int) -> list[int]:
-    """Masks of the k-dimensional faces in lexicographic vertex order."""
-    return sorted((m for m in S.face_masks if m.bit_count() == k + 1),
-                  key=_mask_key)
-
-
 def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
     """Matrix of the k-th boundary map with standard alternating signs.
 
-    Rows index (k-1)-faces, columns index k-faces; the k = 0 map sends every
-    vertex to the empty face (reduced augmentation row of ones).  The entry
-    at (m, m + v) is (-1) to the number of vertices of m below v.
+    Rows index (k-1)-faces, columns index k-faces, both in the order of
+    ``S.faces_by_size``; the k = 0 map sends every vertex to the empty face
+    (reduced augmentation row of ones).  The entry at (m, m + v) is (-1) to
+    the number of vertices of m below v.
     """
     if k < 0 or k > S.dimension:
         raise ValueError(f"degree {k} outside 0..{S.dimension}")
-    rows = faces_of_dimension(S, k - 1)
-    cols = faces_of_dimension(S, k)
-    if len(rows) > FACE_COUNT_LIMIT or len(cols) > FACE_COUNT_LIMIT:
-        raise GuardError("face_count",
-                         f"face counts exceed the {FACE_COUNT_LIMIT} limit")
-    _check_snf_size(len(rows), len(cols))
+    rows, cols = S.faces_by_size[k], S.faces_by_size[k + 1]
+    _check_boundary_size(len(rows), len(cols))
     col_index = {m: j for j, m in enumerate(cols)}
     full = (1 << S.n) - 1
     out = []
@@ -75,6 +67,14 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
                 row[j] = -1 if (m & ((1 << v) - 1)).bit_count() & 1 else 1
         out.append(tuple(row))
     return IntegerMatrix(tuple(out))
+
+
+def _check_boundary_size(nrows: int, ncols: int) -> None:
+    """Both guards of a boundary matrix, from its face counts alone."""
+    if nrows > FACE_COUNT_LIMIT or ncols > FACE_COUNT_LIMIT:
+        raise GuardError("face_count",
+                         f"face counts exceed the {FACE_COUNT_LIMIT} limit")
+    _check_snf_size(nrows, ncols)
 
 
 def _check_snf_size(nrows: int, ncols: int) -> None:
@@ -143,21 +143,22 @@ def reduced_homology(S: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ..
     """Per-degree (betti rank, torsion invariants) of the reduced complex.
 
     rank H_k = #k-faces - rank d_k - rank d_(k+1); the torsion in degree k is
-    the set of invariant factors of d_(k+1) exceeding 1.
+    the set of invariant factors of d_(k+1) exceeding 1.  The guards of
+    every degree are checked before the first SNF.
     """
     dim = S.dimension
     if dim < 0:
         # only the empty face: a single Z in degree -1
         return {-1: (1, ())}
-    counts = S.f_vector()[1:]
-    snf = {}
+    faces = S.faces_by_size
     for k in range(dim + 1):
-        snf[k] = smith_normal_form(boundary_matrix(S, k))
+        _check_boundary_size(len(faces[k]), len(faces[k + 1]))
+    snf = {k: smith_normal_form(boundary_matrix(S, k)) for k in range(dim + 1)}
     out = {}
     for k in range(dim + 1):
         rank_in = len(snf.get(k + 1, ()))
         rank_out = len(snf[k])
-        betti = counts[k] - rank_out - rank_in
+        betti = len(faces[k + 1]) - rank_out - rank_in
         torsion = tuple(d for d in snf.get(k + 1, ()) if d > 1)
         out[k] = (betti, torsion)
     return out

@@ -209,30 +209,26 @@ def largest_log_concave_suffix(seq, absolute: bool = False) -> int:
     is symmetric, so the last violation is the first one of the reversal.
     """
     n = len(seq)
-    bad = _log_concave_violation(seq[::-1], 0, n, absolute)
+    bad = _log_concave_violation(seq[::-1], absolute)
     return 0 if bad is None else n - 1 - bad
 
 
-def _log_concave_violation(seq, lo, hi, absolute):
+def _log_concave_violation(seq, absolute):
     vals = [abs(e) for e in seq] if absolute else list(seq)
-    for i in range(lo + 1, hi - 1):
+    for i in range(1, len(vals) - 1):
         if vals[i - 1] * vals[i + 1] > vals[i] * vals[i]:
             return i
     return None
 
 
-def is_log_concave(seq, window: tuple[int, int] | None = None,
-                   absolute: bool = False) -> CheckReport:
-    """Check e_{i-1}*e_{i+1} <= e_i^2 on the interior of a half-open window.
+def is_log_concave(seq, *, absolute: bool = False) -> CheckReport:
+    """Check e_{i-1}*e_{i+1} <= e_i^2 at every interior index of seq.
 
     The default mode compares the literal signed integers; ``absolute=True``
     scans absolute values instead.  The report names the mode it ran.
     """
     seq = list(seq)
-    lo, hi = window if window is not None else (0, len(seq))
-    if lo < 0 or hi > len(seq) or lo > hi:
-        raise ValueError(f"window {(lo, hi)} outside sequence of length {len(seq)}")
-    bad = _log_concave_violation(seq, lo, hi, absolute)
+    bad = _log_concave_violation(seq, absolute)
     return report(
         "log_concave",
         bad is None,
@@ -241,7 +237,7 @@ def is_log_concave(seq, window: tuple[int, int] | None = None,
             "triple": [seq[bad - 1], seq[bad], seq[bad + 1]],
         },
         mode="absolute" if absolute else "literal",
-        window=[lo, hi],
+        window=[0, len(seq)],
         sequence=seq,
     )
 

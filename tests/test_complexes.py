@@ -134,6 +134,21 @@ def test_face_count_matches_is_face_scan():
         assert total == sum(s.f_vector()[1:])
 
 
+def test_face_table_partitions_the_faces_by_size():
+    rng = random.Random(29)
+    for _ in range(40):
+        s = random_complex(rng, n_min=2, n_max=8)
+        table = s.faces_by_size
+        assert len(table) == s.dimension + 2
+        assert sum(map(len, table)) == len(s.face_masks)
+        assert set().union(*table) == s.face_masks
+        for size, group in enumerate(table):
+            assert all(m.bit_count() == size for m in group)
+            labels = [s.labels_of(m) for m in group]
+            assert labels == sorted(labels)  # lexicographic vertex order
+    assert SC.from_facets([], []).faces_by_size == ((0,),)
+
+
 def test_is_face():
     sq = square_complex()
     assert is_face(sq, ("a", "b"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from simpchrom import cyclotomic
 from simpchrom.cyclotomic import (CyclotomicSpec, ONE_BASED, ZERO_BASED,
                                   build_residue_subcomplex,
                                   check_constant_term_detection,
@@ -24,7 +25,8 @@ def test_cyclotomic_small_values():
 
 
 def test_cyclotomic_degree_is_totient():
-    for n in (1, 2, 6, 12, 30, 105, 210):
+    # 360 = 2^3 3^2 5 is not squarefree; 1155 = 3 5 7 11 has four primes
+    for n in (1, 2, 6, 12, 30, 105, 210, 360, 1155):
         assert cyclotomic_polynomial(n).degree == euler_phi(n)
 
 
@@ -33,7 +35,7 @@ def test_cyclotomic_105_has_coefficient_minus_two():
 
 
 def test_cyclotomic_product_identity():
-    for n in range(1, 81):
+    for n in [*range(1, 81), 360, 1155]:
         prod = P((1,))
         for d in range(1, n + 1):
             if n % d == 0:
@@ -217,6 +219,21 @@ def test_constant_term_detection_fires_exactly_on_zero_coefficients():
         fails = [j for j in range(spec.phi + 1)
                  if not check_constant_term_detection(zero, j).passed]
         assert fails == [j for j in range(1, spec.phi + 1) if phi[j] != 0]
+
+
+def test_a_spec_computes_its_cyclotomic_polynomial_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return cyclotomic_polynomial(n)
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", counted)
+    spec = CyclotomicSpec((3, 5, 7))
+    for j in range(spec.phi + 1):
+        assert check_cyclotomic_homology(spec, j).passed
+        assert check_constant_term_detection(spec, j).passed
+    assert calls == [105]
 
 
 def test_chromatic_identity_spot_check_on_two_primes():

@@ -8,6 +8,7 @@ so error messages that quote the path stay the same on every machine.
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -67,6 +68,10 @@ FILES = {
                          "facets": [[f"v{i:02d}" for i in range(30)]]},
     "wide-nonfaces.json": {"vertices": [f"v{i:02d}" for i in range(26)],
                            "minimal_nonfaces": [["v00", "v01"]]},
+    # U(16,4): d_0..d_2 pass the guards, the 560 x 1820 d_3 does not
+    "u16-4.json": {"vertices": [f"v{i:02d}" for i in range(16)],
+                   "facets": [list(c) for c in combinations(
+                       [f"v{i:02d}" for i in range(16)], 4)]},
 }
 
 RUNS = {
@@ -111,6 +116,7 @@ RUNS = {
     "error-repeated-vertex": ["chromatic", "repeated-vertex.json"],
     "guard-vertices-facets": ["chromatic", "wide-facets.json"],
     "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
+    "guard-matrix-size": ["homology", "u16-4.json"],
     # e lies in no minimal nonface, so the count ends on a free tail
     "oracle-count-free-tail": ["oracle-count", "lonely.json", "--q", "3"],
     "oracle-count": ["oracle-count", "ac.json", "--q", "4"],
@@ -152,6 +158,8 @@ DIGESTS = {
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
+    "guard-matrix-size":
+        "f97d2da3ca5ab5b43bae77585a299e1964d2eaf18cc34244bb4c9d3e14f89e63",
     "guard-model-size":
         "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
     "guard-vertices-facets":

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from simpchrom import homology
+from simpchrom import complexes, homology
 from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.complexes import SimplicialComplex
 from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology,
@@ -64,6 +64,26 @@ def test_boundary_squared_is_zero():
             b = boundary_matrix(s, k + 1).entries
             assert all(sum(x * y for x, y in zip(row, col)) == 0
                        for row in a for col in zip(*b))
+
+
+def test_boundary_matrices_sort_the_faces_once(monkeypatch):
+    rng = random.Random(31)
+    samples = [octahedron()] + [random_complex(rng, n_max=7) for _ in range(10)]
+    keyed = []
+    mask_key = complexes._mask_key
+
+    def counted(m):
+        keyed.append(m)
+        return mask_key(m)
+
+    monkeypatch.setattr(complexes, "_mask_key", counted)
+    for s in samples:
+        keyed.clear()
+        for _ in range(3):
+            for k in range(s.dimension + 1):
+                boundary_matrix(s, k)
+        reduced_homology(s)
+        assert sorted(keyed) == sorted(s.face_masks)  # each face keyed once
 
 
 def test_smith_normal_form_fixtures():
@@ -250,6 +270,24 @@ def test_matrix_size_guard_fires_before_the_matrix_is_built(monkeypatch):
     with pytest.raises(GuardError, match="matrix exceeds the 500 SNF limit") as exc:
         boundary_matrix(u, 3)  # 560 x 1820
     assert exc.value.limit == "matrix_size"
+
+
+def test_reduced_homology_guards_fire_before_any_snf(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append((M.nrows, M.ncols))
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    with pytest.raises(GuardError, match="matrix exceeds the 500 SNF limit") as exc:
+        reduced_homology(uniform_matroid_complex(16, 4))  # d_3 is 560 x 1820
+    assert exc.value.limit == "matrix_size"
+    monkeypatch.setattr(homology, "FACE_COUNT_LIMIT", 8)
+    with pytest.raises(GuardError, match="face counts exceed the 8 limit") as exc:
+        reduced_homology(octahedron())  # d_0 is 1 x 6, d_1 6 x 12
+    assert exc.value.limit == "face_count"
+    assert calls == []
 
 
 def test_matrix_size_guard_in_smith_normal_form(monkeypatch):
