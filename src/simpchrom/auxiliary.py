@@ -6,18 +6,22 @@ with one fewer element.  When the sizing identity |union sigma_I| - c(I) =
 the reversed Hilbert numerator of the auxiliary complex T whose minimal
 nonfaces are the alpha_i.  The checks below measure that identity, the
 intersection condition that is supposed to imply it, and the two lift
-constructions that manufacture complexes satisfying it.  All their subset
-scans, and the backtracking alpha search, run on one depth-first walker
+constructions that manufacture complexes satisfying it.  The apex lift of T
+is the full simplex on V(T) plus the cone over T from a fresh vertex q,
+built from T's facets with no dualization.  Both lifts hand T, on the union
+of the alphas, to the assignment they return; only an assignment that comes
+in has its alphas checked and dualized by ``auxiliary_complex``.  All the
+subset scans, and the backtracking alpha search, run on one depth-first walker
 that carries the unions and components of sigma_I as bitmasks and reports
 the smallest failing I, first in lexicographic order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import (NonfaceFamily, SimplicialComplex, _antichain_family,
-                        fresh_label)
+                        _check_vertex_count, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -34,10 +38,15 @@ SEARCH_NODE_LIMIT = 10 ** 7  # walker nodes, about 10 s at ~1 us per node
 class AlphaAssignment:
     """Ordered pairs (sigma_i, alpha_i); |alpha_i| = |sigma_i| - 1 throughout.
 
-    Input order is preserved: witnesses are reported against it.
+    Input order is preserved: witnesses are reported against it.  A lift
+    hands over the auxiliary complex it built in ``_auxiliary``; it takes no
+    part in equality, hash or repr, and an assignment built from pairs has
+    none.
     """
 
     pairs: tuple[tuple[frozenset, frozenset], ...]
+    _auxiliary: SimplicialComplex | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = []
@@ -226,40 +235,89 @@ def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
 
     Built relaxed: a single-element alpha makes its vertex a formal nonface
     vertex, which still contributes to the numerator's t-power bookkeeping.
-    The alphas are input, so they are checked as a NonfaceFamily.
+    A lift's assignment carries the complex, built from the T it lifted;
+    any other assignment came in, so its alphas are checked as a
+    NonfaceFamily and dualized.
     """
+    if assign._auxiliary is not None:
+        return assign._auxiliary
     alphas = assign.alphas
     family = NonfaceFamily(tuple(tuple(sorted(a)) for a in alphas))
     ground = sorted(set().union(*alphas)) if alphas else []
     return SimplicialComplex.from_minimal_nonfaces(ground, family, relaxed=True)
 
 
-def _lift(labels, alphas, sigmas):
-    """S on labels whose minimal nonfaces are the sigmas, and its assignment.
+def _insert_bit(mask: int, i: int) -> int:
+    """The mask with a zero bit made at position i, higher bits moved up."""
+    low = (1 << i) - 1
+    return mask & low | (mask & ~low) << 1
 
-    Each sigma is its alpha, a minimal nonface of T, plus vertices fresh to
-    T.  So sigma_i inside sigma_j puts alpha_i inside alpha_j, and the
-    sigmas are an antichain like the alphas: they skip the input check.
+
+def _drop_bit(mask: int, i: int) -> int:
+    """The mask with bit i removed, higher bits moved down."""
+    low = (1 << i) - 1
+    return mask & low | mask >> (i + 1) << i
+
+
+def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
+    """The lift's assignment, carrying its auxiliary complex: T on the union
+    of the alphas, relaxed, with T's minimal nonfaces.
+
+    A vertex in no minimal nonface of T is a cone point, in every facet, so
+    dropping those vertices from each facet leaves an antichain.
     """
-    family = _antichain_family(tuple(sorted(s)) for s in sigmas)
-    S = SimplicialComplex.from_minimal_nonfaces(labels, family)
-    return S, AlphaAssignment(tuple(zip(sigmas, alphas)))
+    union = 0
+    for m in T.minimal_nonface_masks:
+        union |= m
+    cone = [i for i in reversed(range(T.n)) if not union >> i & 1]
+
+    def restrict(mask):
+        for i in cone:  # highest first, so the lower indices stay put
+            mask = _drop_bit(mask, i)
+        return mask
+
+    aux = SimplicialComplex._from_masks(
+        T.labels_of(union), map(restrict, T.facet_masks),
+        map(restrict, T.minimal_nonface_masks), relaxed=True)
+    assign = AlphaAssignment(tuple(zip(sigmas, alphas)))
+    object.__setattr__(assign, "_auxiliary", aux)
+    return assign
 
 
 def lift_with_apex(T: SimplicialComplex):
-    """One fresh apex vertex adjoined to every minimal nonface of T.
+    """One fresh apex vertex q adjoined to every minimal nonface of T.
 
-    Returns (S, assignment); the induced assignment always satisfies the
-    target invariant since every lifted nonface shares the apex.
+    The faces of S are every subset of V(T), and q together with each face
+    of T: the full simplex on V(T) and the cone over T from q.  So S has the
+    facets V(T) and F + q for each facet F of T, or only V(T) + q when T has
+    no nonface, and its minimal nonfaces are the sigmas, alpha + q.  Both
+    are built as masks, with no dualization.  Returns (S, assignment); the
+    induced assignment always satisfies the target invariant since every
+    lifted nonface shares the apex.
     """
+    nonfaces = T.minimal_nonface_masks
     q = fresh_label(set(T.vertices), "q")
-    alphas = [frozenset(g) for g in T.minimal_nonfaces().generators]
-    return _lift(list(T.vertices) + [q], alphas, [a | {q} for a in alphas])
+    labels = sorted(T.vertices + (q,))
+    _check_vertex_count(len(labels))
+    p = labels.index(q)
+    apex = 1 << p
+    simplex = (1 << len(labels)) - 1 ^ apex
+    facets = ([simplex] + [_insert_bit(f, p) | apex for f in T.facet_masks]
+              if nonfaces else [simplex | apex])
+    S = SimplicialComplex._from_masks(
+        labels, facets, [_insert_bit(m, p) | apex for m in nonfaces])
+    alphas = [frozenset(T.labels_of(m)) for m in nonfaces]
+    return S, _lift_assignment([a | {q} for a in alphas], alphas, T)
 
 
 def lift_disjoint(T: SimplicialComplex):
-    """One fresh vertex per minimal nonface; requires pairwise-disjoint nonfaces."""
-    alphas = [frozenset(g) for g in T.minimal_nonfaces().generators]
+    """One fresh vertex per minimal nonface; requires pairwise-disjoint nonfaces.
+
+    S is built from its sigmas, each an alpha plus its own fresh vertex.  So
+    sigma_i inside sigma_j puts alpha_i inside alpha_j, and the sigmas are an
+    antichain like the alphas: they skip the input check.
+    """
+    alphas = [frozenset(T.labels_of(m)) for m in T.minimal_nonface_masks]
     for i in range(len(alphas)):
         for j in range(i + 1, len(alphas)):
             if alphas[i] & alphas[j]:
@@ -272,7 +330,9 @@ def lift_disjoint(T: SimplicialComplex):
         q = fresh_label(used, f"q{k + 1}")
         used.add(q)
         sigmas.append(a | {q})
-    return _lift(sorted(used), alphas, sigmas)
+    family = _antichain_family(tuple(sorted(s)) for s in sigmas)
+    S = SimplicialComplex.from_minimal_nonfaces(sorted(used), family)
+    return S, _lift_assignment(sigmas, alphas, T)
 
 
 def require_matching_sigmas(S: SimplicialComplex, assign: AlphaAssignment) -> None:

@@ -12,10 +12,12 @@ are themselves nonfaces, and are constructed with ``relaxed=True``.
 
 A nonface family is checked once, where label sets enter the library: a
 ``NonfaceFamily`` a caller builds, ``from_minimal_nonfaces`` given label
-lists, and ``auxiliary.auxiliary_complex`` on an assignment's alphas.
-Families derived from the masks of a complex (``minimal_nonfaces()`` and the
-sigma families of the lifts) are antichains by construction and are wrapped
-by ``_antichain_family`` without the check.
+lists, and ``auxiliary.auxiliary_complex`` on the alphas of an assignment that
+came in.  Families derived from the masks of a complex (``minimal_nonfaces()``
+and the disjoint lift's sigmas) are antichains by construction and are
+wrapped by ``_antichain_family`` without the check; the apex lift and the
+auxiliary complex a lift hands over are built by ``_from_masks`` from masks
+alone.
 """
 
 from __future__ import annotations
@@ -185,6 +187,15 @@ class SimplicialComplex:
         out = cls(verts, _sort_masks(facets), relaxed)
         out.__dict__["minimal_nonface_masks"] = tuple(sorted(
             gen_masks, key=lambda m: _mask_key(m)))
+        return out
+
+    @classmethod
+    def _from_masks(cls, vertices, facet_masks, nonface_masks,
+                    relaxed: bool = False) -> "SimplicialComplex":
+        """A complex whose facets (an antichain) and minimal nonfaces are both
+        known by construction, as masks over canonical vertices; unchecked."""
+        out = cls(vertices, _sort_masks(facet_masks), relaxed)
+        out.__dict__["minimal_nonface_masks"] = _sort_masks(nonface_masks)
         return out
 
     # -- basic views -------------------------------------------------------

@@ -163,10 +163,13 @@ def test_a_lift_and_its_report_check_only_the_alphas(build, antichain_checks):
     T = build()
     antichain_checks.clear()
     S, assign = lift_with_apex(T)
-    assert antichain_checks == []
     rep = log_concavity_report(S, assign)
     assert rep.details["chromatic_route"] == "identity"
-    # auxiliary_complex takes the alphas from the assignment: one check
+    # the lift hands its auxiliary complex over: the alphas are not input
+    assert antichain_checks == []
+    # the same pairs given as input are checked once, where they enter
+    report = log_concavity_report(S, AlphaAssignment(assign.pairs))
+    assert report == rep
     assert len(antichain_checks) == 1
     assert {frozenset(a) for a in antichain_checks[0]} == set(assign.alphas)
 
@@ -195,6 +198,9 @@ def test_a_reciprocity_report_builds_its_auxiliary_complex_once(
     dualizations.clear()
     rep = reciprocity_report(S, assign)
     assert rep.passed and "literal_t5_t3_claim" in rep.details
+    # the lift built the complex already
+    assert antichain_checks == [] and dualizations == []
+    assert reciprocity_report(S, AlphaAssignment(assign.pairs)) == rep
     assert len(antichain_checks) == 1
     assert dualizations == [list("abcdef")]
 

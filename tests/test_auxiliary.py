@@ -209,21 +209,45 @@ def disjoint_nonface_complex(rng):
 
 
 def test_lifts_equal_the_checked_construction():
-    # the lifts build S from their sigma family without the input check;
-    # given as label lists, the same sigmas take it
+    # the apex lift builds S and both lifts build T's auxiliary complex from
+    # masks, with no input check; the checked construction from the sigmas
+    # and the alphas as label lists must give the same complexes
     rng = random.Random(61)
-    lifts = [lift_with_apex(random_complex(rng, n_max=8)) for _ in range(40)]
-    for _ in range(40):
-        t = disjoint_nonface_complex(rng)
+    complexes = [random_complex(rng, n_max=8) for _ in range(40)]
+    disjoint = [disjoint_nonface_complex(rng) for _ in range(40)]
+    cases = {
+        # c lies in no nonface
+        "cone vertex": SC.from_minimal_nonfaces(
+            "abcdef", [("a", "b", "f"), ("d", "e")]),
+        "no nonface": SC.from_minimal_nonfaces("ab", []),
+        "relaxed singleton": SC.from_minimal_nonfaces(
+            "abcd", [("a",), ("b", "c")], relaxed=True),
+        "no vertex": SC.from_facets([], []),
+        # the apex q0 sorts between q and z
+        "apex mid-order": SC.from_minimal_nonfaces(["a", "q", "z"], [("a", "z")]),
+    }
+    lifts = [lift_with_apex(t) for t in complexes + disjoint]
+    lifts += [lift_disjoint(t) for t in disjoint]
+    for t in cases.values():
         lifts += [lift_with_apex(t), lift_disjoint(t)]
     assert max(len(assign) for _, assign in lifts) >= 5
+    assert lift_with_apex(cases["apex mid-order"])[0].vertices == ("a", "q", "q0", "z")
     for s, assign in lifts:
         sigmas = [sorted(x) for x in assign.sigmas]
         checked = SC.from_minimal_nonfaces(s.vertices, sigmas)
-        assert s == checked
+        assert s == checked and not s.relaxed
         assert s.minimal_nonface_masks == checked.minimal_nonface_masks == \
             SC(s.vertices, s.facet_masks).minimal_nonface_masks
         assert s.minimal_nonfaces() == NonfaceFamily(tuple(map(tuple, sigmas)))
+        # the handed-over complex is the one the alphas give as input
+        given = AlphaAssignment(assign.pairs)
+        handed, rebuilt = auxiliary_complex(assign), auxiliary_complex(given)
+        assert handed is not rebuilt
+        for name in ("vertices", "facet_masks", "minimal_nonface_masks", "relaxed"):
+            assert getattr(handed, name) == getattr(rebuilt, name)
+        # and takes no part in the assignment's value
+        assert given == assign and hash(given) == hash(assign)
+        assert repr(given) == repr(assign)
 
 
 def test_verify_main_theorem_three_fixtures():

@@ -57,6 +57,9 @@ FILES = {
     # the right sigmas, but both alphas are {a}: not an antichain
     "square-alpha-not-antichain.json": [{"sigma": ["a", "c"], "alpha": ["a"]},
                                         {"sigma": ["b", "d"], "alpha": ["a"]}],
+    # the apex lift's fresh vertex q0 sorts between q and z, so its bit is
+    # not the top one
+    "aqz.json": {"vertices": ["a", "q", "z"], "minimal_nonfaces": [["a", "z"]]},
     "bad-facet-label.json": {"vertices": ["a", "b"], "facets": [["a", "z"]]},
     "bad-generator-label.json": {"vertices": ["a", "b", "c"],
                                  "minimal_nonfaces": [["a", "b"], ["c", "y"]]},
@@ -68,6 +71,9 @@ FILES = {
                          "facets": [[f"v{i:02d}" for i in range(30)]]},
     "wide-nonfaces.json": {"vertices": [f"v{i:02d}" for i in range(26)],
                            "minimal_nonfaces": [["v00", "v01"]]},
+    # 25 vertices pass the vertex guard; the apex lift's 26 do not
+    "wide-lift.json": {"vertices": [f"v{i:02d}" for i in range(25)],
+                       "minimal_nonfaces": [["v00", "v01"]]},
     # U(16,4): d_0..d_2 pass the guards, the 560 x 1820 d_3 does not
     "u16-4.json": {"vertices": [f"v{i:02d}" for i in range(16)],
                    "facets": [list(c) for c in combinations(
@@ -86,6 +92,12 @@ RUNS = {
     "logconcavity": ["logconcavity", "ac.json"],
     "homology": ["homology", "rp2.json"],
     "uniform-apex": ["uniform", "--n", "9", "--r", "6", "--lift", "apex"],
+    # U(8,4)'s nonfaces overlap, so the disjoint lift is a usage error
+    "uniform-disjoint": ["uniform", "--n", "8", "--r", "4", "--lift", "disjoint"],
+    "lift-apex-free-vertex": ["lift", "lonely.json", "--mode", "apex"],
+    "lift-disjoint": ["lift", "square.json", "--mode", "disjoint"],
+    "lift-apex-mid-order": ["lift", "aqz.json", "--mode", "apex"],
+    "lift-disjoint-mid-order": ["lift", "aqz.json", "--mode", "disjoint"],
     "cyclo-check": ["cyclo-check", "--primes", "3,5,7", "--j", "7"],
     # runs whose bytes come from the Smith normal form: the top Betti number
     # at c = 0 and c = -2, a zero-based FAIL, Z/2 in degree 2 (c = 2) and
@@ -117,6 +129,7 @@ RUNS = {
     "guard-vertices-facets": ["chromatic", "wide-facets.json"],
     "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
     "guard-matrix-size": ["homology", "u16-4.json"],
+    "guard-vertices-apex-lift": ["lift", "wide-lift.json", "--mode", "apex"],
     # e lies in no minimal nonface, so the count ends on a free tail
     "oracle-count-free-tail": ["oracle-count", "lonely.json", "--q", "3"],
     "oracle-count": ["oracle-count", "ac.json", "--q", "4"],
@@ -162,6 +175,8 @@ DIGESTS = {
         "f97d2da3ca5ab5b43bae77585a299e1964d2eaf18cc34244bb4c9d3e14f89e63",
     "guard-model-size":
         "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
+    "guard-vertices-apex-lift":
+        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-facets":
         "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
     "guard-vertices-nonfaces":
@@ -170,6 +185,14 @@ DIGESTS = {
         "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
     "homology":
         "f4edc6222e03a59a455c1bf2a437ce5311df3b02bb6e20d4c61957b2541f6f0d",
+    "lift-apex-free-vertex":
+        "a8bd641ecea024512e28925c220f66467c822815782f431a522d574d935b6452",
+    "lift-apex-mid-order":
+        "19786892d6a57591dbe3ddccbd274393720033c2d870109a51f7299090aee1ae",
+    "lift-disjoint":
+        "489609cfd255b7debc88bc64a2ce5b38557435d4076691fbb67c7fa45eb9e419",
+    "lift-disjoint-mid-order":
+        "ab128c1edee87e67bbf34fc6b149b4a02955dc8b640fb3a6fdaf89e30c62e3c3",
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-identity":
@@ -186,6 +209,8 @@ DIGESTS = {
         "6b48bca13354a3d60ed77ef005e82c2e451d3b2f9ebf84eb3a8ec40d473073fd",
     "uniform-apex":
         "0ed07619665bad9cf051202e5f357299fc31c0a0f906659cd9322df38caf1684",
+    "uniform-disjoint":
+        "26e9b04462fba65b611c79777c3a9725aac698b6b98117243791af0da8bf8a4a",
     "verify-ac-merge":
         "6f5fce1b5c243a7eaec79753b6d93677e402c7476d7c48389bb90af9767b664a",
     "verify-ac-remove":
