@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (NonfaceFamily, SimplicialComplex, _antichain_family,
-                        _check_vertex_count, fresh_label)
+                        _check_vertex_count, _reindex, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -247,18 +247,6 @@ def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
     return SimplicialComplex.from_minimal_nonfaces(ground, family, relaxed=True)
 
 
-def _insert_bit(mask: int, i: int) -> int:
-    """The mask with a zero bit made at position i, higher bits moved up."""
-    low = (1 << i) - 1
-    return mask & low | (mask & ~low) << 1
-
-
-def _drop_bit(mask: int, i: int) -> int:
-    """The mask with bit i removed, higher bits moved down."""
-    low = (1 << i) - 1
-    return mask & low | mask >> (i + 1) << i
-
-
 def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
     """The lift's assignment, carrying its auxiliary complex: T on the union
     of the alphas, relaxed, with T's minimal nonfaces.
@@ -269,16 +257,10 @@ def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
     union = 0
     for m in T.minimal_nonface_masks:
         union |= m
-    cone = [i for i in reversed(range(T.n)) if not union >> i & 1]
-
-    def restrict(mask):
-        for i in cone:  # highest first, so the lower indices stay put
-            mask = _drop_bit(mask, i)
-        return mask
-
-    aux = SimplicialComplex._from_masks(
-        T.labels_of(union), map(restrict, T.facet_masks),
-        map(restrict, T.minimal_nonface_masks), relaxed=True)
+    ground = T.labels_of(union)
+    restrict = _reindex(T.vertices, ground)
+    aux = SimplicialComplex(ground, map(restrict, T.facet_masks), relaxed=True,
+                            nonface_masks=map(restrict, T.minimal_nonface_masks))
     assign = AlphaAssignment(tuple(zip(sigmas, alphas)))
     object.__setattr__(assign, "_auxiliary", aux)
     return assign
@@ -299,13 +281,13 @@ def lift_with_apex(T: SimplicialComplex):
     q = fresh_label(set(T.vertices), "q")
     labels = sorted(T.vertices + (q,))
     _check_vertex_count(len(labels))
-    p = labels.index(q)
-    apex = 1 << p
+    move = _reindex(T.vertices, labels)
+    apex = 1 << labels.index(q)
     simplex = (1 << len(labels)) - 1 ^ apex
-    facets = ([simplex] + [_insert_bit(f, p) | apex for f in T.facet_masks]
+    facets = ([simplex] + [move(f) | apex for f in T.facet_masks]
               if nonfaces else [simplex | apex])
-    S = SimplicialComplex._from_masks(
-        labels, facets, [_insert_bit(m, p) | apex for m in nonfaces])
+    S = SimplicialComplex(labels, facets,
+                          nonface_masks=[move(m) | apex for m in nonfaces])
     alphas = [frozenset(T.labels_of(m)) for m in nonfaces]
     return S, _lift_assignment([a | {q} for a in alphas], alphas, T)
 

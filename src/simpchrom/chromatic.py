@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (SimplicialComplex, _antichain_max, _bits, _sort_masks,
-                        fresh_label)
+from .complexes import (SimplicialComplex, _antichain_max, _bits, _masks,
+                        _reindex, fresh_label)
 from .polynomials import IntPolynomial
 from .report import CheckReport, GuardError, report
 
@@ -188,31 +188,23 @@ def tidied_contraction(S: SimplicialComplex, sigma,
     face relations mimic graph contraction: tau | {w} is a face iff
     tau | {x} was a face for every x in sigma.
     """
-    sig = S.mask_of(sigma)
+    sig, = _masks(S.vertices, [sigma], "nonface")
     if sig not in S.minimal_nonface_masks:
         raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
     if convention not in (REMOVE_ONLY, MERGE_VERTEX):
         raise ValueError(f"unknown contraction convention {convention!r}")
-    faces = {m for m in S.face_masks if not m & sig}
-    # old bit position of every label the contraction keeps
-    old = {v: i for i, v in enumerate(S.vertices) if not sig >> i & 1}
+    labels = [v for i, v in enumerate(S.vertices) if not sig >> i & 1]
     if convention == MERGE_VERTEX:
-        wbit = 1 << S.n  # temporary position for the merge vertex
-        face_set = S.face_masks
-        faces |= {m | wbit for m in faces
-                  if all(m | (1 << x) in face_set for x in _bits(sig))}
-        old[fresh_label(set(S.vertices), "w")] = S.n
-    new_labels = sorted(old)
-    old_pos = {old[v]: i for i, v in enumerate(new_labels)}
-    remapped = [_remap(m, old_pos) for m in _antichain_max(faces)]
-    return SimplicialComplex(tuple(new_labels), _sort_masks(remapped))
-
-
-def _remap(mask, old_to_new):
-    out = 0
-    for b in _bits(mask):
-        out |= 1 << old_to_new[b]
-    return out
+        w = fresh_label(set(S.vertices), "w")
+        labels = sorted(labels + [w])
+    move = _reindex(S.vertices, labels)
+    kept = [m for m in S.face_masks if not m & sig]
+    faces = [move(m) for m in kept]
+    if convention == MERGE_VERTEX:
+        wbit = 1 << labels.index(w)
+        faces += [move(m) | wbit for m in kept
+                  if all(m | (1 << x) in S.face_masks for x in _bits(sig))]
+    return SimplicialComplex(labels, _antichain_max(faces))
 
 
 def verify_addition_contraction(S: SimplicialComplex, sigma,
@@ -226,7 +218,7 @@ def verify_addition_contraction(S: SimplicialComplex, sigma,
     """
     if convention not in (REMOVE_ONLY, MERGE_VERTEX):
         raise ValueError(f"unknown contraction convention {convention!r}")
-    if S.mask_of(sigma) not in S.minimal_nonface_masks:
+    if _masks(S.vertices, [sigma], "nonface")[0] not in S.minimal_nonface_masks:
         raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
     base = chromatic_polynomial(S)
     added = chromatic_polynomial(S.add_face(sigma))

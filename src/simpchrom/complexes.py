@@ -1,10 +1,13 @@
 """Finite abstract simplicial complexes stored canonically by facets.
 
 Vertices are label strings, sorted lexicographically; faces live as bitmasks
-over that order, bit i standing for the i-th label.  One encoder, ``_masks``,
-turns label sets into such masks for every caller.  Conversion between the
-facet description and the minimal nonface description (the squarefree-ideal
-generators) is exact both ways.
+over that order, bit i standing for the i-th label.  Only this module maps
+labels to bits: one encoder, ``_masks``, turns label sets into masks, one
+unchecked constructor builds a complex from masks, and one re-indexer,
+``_reindex``, moves masks onto another sorted label set; other modules only
+read and combine masks.  Conversion between the facet description and the
+minimal nonface description (the squarefree-ideal generators) is exact both
+ways.
 
 A complex is "strict" when every vertex is required to be a face; auxiliary
 complexes built from companion-set families may carry formal vertices that
@@ -16,8 +19,8 @@ lists, and ``auxiliary.auxiliary_complex`` on the alphas of an assignment that
 came in.  Families derived from the masks of a complex (``minimal_nonfaces()``
 and the disjoint lift's sigmas) are antichains by construction and are
 wrapped by ``_antichain_family`` without the check; the apex lift and the
-auxiliary complex a lift hands over are built by ``_from_masks`` from masks
-alone.
+auxiliary complex a lift hands over are built by the constructor from their
+facet and nonface masks alone.
 """
 
 from __future__ import annotations
@@ -53,6 +56,28 @@ def _masks(labels, sets, what: str) -> list[int]:
             m |= 1 << index[lab]
         out.append(m)
     return out
+
+
+def _reindex(old, new):
+    """Map of masks over the sorted labels ``old`` onto the sorted labels
+    ``new``: it drops the bits of labels not in ``new`` and opens a zero bit
+    for each label new to it.  The shared labels keep their order, so they
+    move in a few blocks, one shift per block."""
+    at = dict(zip(new, range(len(new))))
+    shifts = {}  # shift -> the old bits that move by it
+    for i, v in enumerate(old):
+        j = at.get(v)
+        if j is not None:
+            shifts[j - i] = shifts.get(j - i, 0) | 1 << i
+    blocks = [(bits, max(d, 0), max(-d, 0)) for d, bits in shifts.items()]
+
+    def move(mask: int) -> int:
+        out = 0
+        for bits, left, right in blocks:
+            out |= (mask & bits) << left >> right
+        return out
+
+    return move
 
 
 def _check_vertex_count(n: int) -> None:
@@ -139,12 +164,19 @@ def _antichain_family(generators) -> NonfaceFamily:
 
 
 class SimplicialComplex:
-    """Immutable vertex-labeled complex; all equality is on canonical form."""
+    """Immutable vertex-labeled complex; all equality is on canonical form.
 
-    def __init__(self, vertices, facet_masks, relaxed: bool = False):
+    The constructor is unchecked: ``facet_masks`` is an antichain over the
+    canonical ``vertices``, and ``nonface_masks``, if given, seeds the
+    minimal nonfaces instead of their recovery from the faces."""
+
+    def __init__(self, vertices, facet_masks, relaxed: bool = False,
+                 nonface_masks=None):
         self.vertices = tuple(vertices)
-        self.facet_masks = tuple(facet_masks)
+        self.facet_masks = _sort_masks(facet_masks)
         self.relaxed = bool(relaxed)
+        if nonface_masks is not None:
+            self.__dict__["minimal_nonface_masks"] = _sort_masks(nonface_masks)
 
     # -- construction -----------------------------------------------------
 
@@ -164,7 +196,7 @@ class SimplicialComplex:
             missing = [verts[i] for i in range(len(verts)) if not covered >> i & 1]
             if missing:
                 raise ValueError(f"labels in no face: {missing}")
-        return cls(verts, _sort_masks(masks), relaxed)
+        return cls(verts, masks, relaxed)
 
     @classmethod
     def from_minimal_nonfaces(cls, labels, generators,
@@ -183,20 +215,8 @@ class SimplicialComplex:
                 if m.bit_count() == 1:
                     raise ValueError(
                         f"singleton generator {list(g)} leaves vertex {g[0]!r} in no face")
-        facets = _maximal_generator_free(len(verts), gen_masks)
-        out = cls(verts, _sort_masks(facets), relaxed)
-        out.__dict__["minimal_nonface_masks"] = tuple(sorted(
-            gen_masks, key=lambda m: _mask_key(m)))
-        return out
-
-    @classmethod
-    def _from_masks(cls, vertices, facet_masks, nonface_masks,
-                    relaxed: bool = False) -> "SimplicialComplex":
-        """A complex whose facets (an antichain) and minimal nonfaces are both
-        known by construction, as masks over canonical vertices; unchecked."""
-        out = cls(vertices, _sort_masks(facet_masks), relaxed)
-        out.__dict__["minimal_nonface_masks"] = _sort_masks(nonface_masks)
-        return out
+        return cls(verts, _maximal_generator_free(len(verts), gen_masks),
+                   relaxed, gen_masks)
 
     # -- basic views -------------------------------------------------------
 
@@ -206,19 +226,6 @@ class SimplicialComplex:
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in _bits(mask))
-
-    def mask_of(self, labels) -> int:
-        m = 0
-        for lab in labels:
-            i = self._index.get(lab)
-            if i is None:
-                raise ValueError(f"unknown label {lab!r}")
-            m |= 1 << i
-        return m
-
-    @cached_property
-    def _index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def facets(self) -> tuple[tuple[str, ...], ...]:
@@ -283,7 +290,7 @@ class SimplicialComplex:
                     continue
                 if all(cand & ~(1 << u) in faces for u in _bits(cand)):
                     found.add(cand)
-        return tuple(sorted(found, key=_mask_key))
+        return _sort_masks(found)
 
     def minimal_nonfaces(self) -> NonfaceFamily:
         return _antichain_family(self.labels_of(m)
@@ -293,10 +300,9 @@ class SimplicialComplex:
 
     def add_face(self, labels) -> "SimplicialComplex":
         """Complex with one additional face (plus its subsets, vacuously)."""
-        m = self.mask_of(labels)
+        m, = _masks(self.vertices, [labels], "face")
         return SimplicialComplex(
-            self.vertices,
-            _sort_masks(_antichain_max(list(self.facet_masks) + [m])),
+            self.vertices, _antichain_max(list(self.facet_masks) + [m]),
             self.relaxed)
 
 

@@ -43,6 +43,14 @@ def _string_list(value, where):
     return value
 
 
+def _label_set(value, where) -> frozenset:
+    labels = _string_list(value, where)
+    for i, lab in enumerate(labels):
+        if lab in labels[:i]:
+            raise InputError(where, f"repeated label {lab!r}")
+    return frozenset(labels)
+
+
 def _face_list(value, where):
     if not isinstance(value, list):
         raise InputError(where, "expected a list of vertex lists")
@@ -131,8 +139,8 @@ def alpha_from_data(data, where: str = "<data>") -> AlphaAssignment:
         spot = f"{where}[{i}]"
         if not isinstance(item, dict) or set(item) != {"sigma", "alpha"}:
             raise InputError(spot, "expected keys 'sigma' and 'alpha'")
-        sigma = frozenset(_string_list(item["sigma"], f"{spot}.sigma"))
-        alpha = frozenset(_string_list(item["alpha"], f"{spot}.alpha"))
+        sigma = _label_set(item["sigma"], f"{spot}.sigma")
+        alpha = _label_set(item["alpha"], f"{spot}.alpha")
         pairs.append((sigma, alpha))
     try:
         return AlphaAssignment(tuple(pairs))

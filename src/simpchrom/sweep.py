@@ -94,7 +94,8 @@ def _theorem_rows(rng, seed, count):
         S, assign = lift_with_apex(T)
         rep = verify_main_theorem(S, assign)
         # the h-form coincides with the numerator form exactly when the
-        # rebuilt auxiliary complex has as many vertices as its dimension + 1
+        # auxiliary complex the lift hands over has as many vertices as its
+        # dimension + 1
         h_form_expected = rep.details["n_T"] == rep.details["d_T"]
         ok = rep.passed and rep.details["check_b_h_form"] == h_form_expected
         rows.append(_row(f"theorem-{i:03d}", seed, S.n, len(assign),

@@ -4,6 +4,7 @@ No library code calls them.  Each restates a definition on labels and plain
 sets, away from the bitmask code it checks.
 """
 
+from itertools import combinations
 from math import comb
 
 from simpchrom.complexes import SimplicialComplex
@@ -31,6 +32,24 @@ def is_face(S: SimplicialComplex, labels) -> bool:
     if unknown:
         raise ValueError(f"unknown labels {sorted(unknown)}")
     return any(set(labels) <= set(f) for f in S.facets)
+
+
+def contraction(S: SimplicialComplex, sigma, w=None) -> SimplicialComplex:
+    """Contraction of the nonface sigma, on labels.
+
+    The faces of S disjoint from sigma; with a merge label w (a label not in
+    S) also tau + w wherever tau + x is a face of S for every x in sigma.
+    """
+    sigma = set(sigma)
+    faces = {frozenset(c) for f in S.facets
+             for k in range(len(f) + 1) for c in combinations(f, k)}
+    kept = [tau for tau in faces if not tau & sigma]
+    labels = [v for v in S.vertices if v not in sigma]
+    if w is not None:
+        labels.append(w)
+        kept += [tau | {w} for tau in kept
+                 if all(tau | {x} in faces for x in sigma)]
+    return SimplicialComplex.from_facets(labels, kept, relaxed=True)
 
 
 def f_from_h(h, d: int) -> tuple[int, ...]:

@@ -225,6 +225,9 @@ def test_lifts_equal_the_checked_construction():
         "no vertex": SC.from_facets([], []),
         # the apex q0 sorts between q and z
         "apex mid-order": SC.from_minimal_nonfaces(["a", "q", "z"], [("a", "z")]),
+        # q and q1 are taken: the apex is q0 and the disjoint vertices q10, q2
+        "fresh labels collide": SC.from_minimal_nonfaces(
+            ["a", "b", "q", "q1"], [("a", "q"), ("b", "q1")]),
     }
     lifts = [lift_with_apex(t) for t in complexes + disjoint]
     lifts += [lift_disjoint(t) for t in disjoint]
@@ -232,6 +235,9 @@ def test_lifts_equal_the_checked_construction():
         lifts += [lift_with_apex(t), lift_disjoint(t)]
     assert max(len(assign) for _, assign in lifts) >= 5
     assert lift_with_apex(cases["apex mid-order"])[0].vertices == ("a", "q", "q0", "z")
+    collide = cases["fresh labels collide"]
+    assert lift_with_apex(collide)[0].vertices == ("a", "b", "q", "q0", "q1")
+    assert lift_disjoint(collide)[0].vertices == ("a", "b", "q", "q1", "q10", "q2")
     for s, assign in lifts:
         sigmas = [sorted(x) for x in assign.sigmas]
         checked = SC.from_minimal_nonfaces(s.vertices, sigmas)
@@ -278,7 +284,8 @@ def test_main_theorem_on_random_apex_lifts():
         s, assign = lift_with_apex(t)
         rep = verify_main_theorem(s, assign)
         assert rep.passed
-        # printed h-form agrees exactly when the rebuilt complex is a simplex
+        # printed h-form agrees exactly when the lift's auxiliary complex is
+        # a simplex
         assert rep.details["check_b_h_form"] == (
             rep.details["n_T"] == rep.details["d_T"])
 

@@ -16,7 +16,7 @@ from simpchrom.polynomials import IntPolynomial
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex, random_graph
 
-from oracles import component_count
+from oracles import component_count, contraction
 
 P = IntPolynomial
 SC = SimplicialComplex
@@ -217,6 +217,32 @@ def test_tidied_contraction_path():
     c = tidied_contraction(path_complex(), ("1", "2"), MERGE_VERTEX)
     assert set(c.vertices) == {"3", "w"}
     assert [set(g) for g in c.minimal_nonfaces().generators] == [{"3", "w"}]
+
+
+def test_tidied_contraction_matches_the_label_reference():
+    # half the samples rename a to w and b to z, so the merge vertex is w0
+    # and sorts between w and z
+    rng = random.Random(211)
+    samples = [SC.from_minimal_nonfaces("avwxz", [("a", "x"), ("v", "z")])]
+    for k in range(200):
+        s = random_complex(rng, n_max=8)
+        if k % 2:
+            name = {"a": "w", "b": "z"}
+            s = SC.from_facets([name.get(v, v) for v in s.vertices],
+                               [[name.get(v, v) for v in f] for f in s.facets])
+        samples.append(s)
+    checked = 0
+    for s in samples:
+        w = "w0" if "w" in s.vertices else "w"
+        for sigma in s.minimal_nonfaces().generators:
+            assert tidied_contraction(s, sigma, REMOVE_ONLY) == \
+                contraction(s, sigma)
+            assert tidied_contraction(s, sigma, MERGE_VERTEX) == \
+                contraction(s, sigma, w)
+            checked += 1
+    assert checked >= 300
+    merged = tidied_contraction(samples[0], ("a", "x"))
+    assert merged.vertices == ("v", "w", "w0", "z")
 
 
 def test_tidied_contraction_requires_minimal_nonface():

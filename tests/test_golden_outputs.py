@@ -60,6 +60,15 @@ FILES = {
     # the apex lift's fresh vertex q0 sorts between q and z, so its bit is
     # not the top one
     "aqz.json": {"vertices": ["a", "q", "z"], "minimal_nonfaces": [["a", "z"]]},
+    # the merge vertex of verify-ac is w0, which sorts between w and x
+    "avwxz.json": {"vertices": ["a", "v", "w", "x", "z"],
+                   "minimal_nonfaces": [["a", "x"], ["v", "z"]]},
+    # the octahedron boundary: its disjoint lift has 27 facets on 9 vertices
+    "octahedron.json": {"vertices": ["a", "b", "c", "d", "e", "f"],
+                        "minimal_nonfaces": [["a", "c"], ["b", "d"], ["e", "f"]]},
+    # sigma ac lists c twice and alpha lists a twice
+    "square-repeated-label.json": [{"sigma": ["a", "c", "c"], "alpha": ["a", "a"]},
+                                   {"sigma": ["b", "d"], "alpha": ["b"]}],
     "bad-facet-label.json": {"vertices": ["a", "b"], "facets": [["a", "z"]]},
     "bad-generator-label.json": {"vertices": ["a", "b", "c"],
                                  "minimal_nonfaces": [["a", "b"], ["c", "y"]]},
@@ -71,7 +80,7 @@ FILES = {
                          "facets": [[f"v{i:02d}" for i in range(30)]]},
     "wide-nonfaces.json": {"vertices": [f"v{i:02d}" for i in range(26)],
                            "minimal_nonfaces": [["v00", "v01"]]},
-    # 25 vertices pass the vertex guard; the apex lift's 26 do not
+    # 25 vertices pass the vertex guard; the lifts' 26 do not
     "wide-lift.json": {"vertices": [f"v{i:02d}" for i in range(25)],
                        "minimal_nonfaces": [["v00", "v01"]]},
     # U(16,4): d_0..d_2 pass the guards, the 560 x 1820 d_3 does not
@@ -87,6 +96,9 @@ RUNS = {
     "verify-ac-merge": ["verify-ac", "ac.json", "--nonface", "2,3,4"],
     "verify-ac-remove": ["verify-ac", "ac.json", "--nonface", "2,3,4",
                          "--convention", "remove"],
+    "verify-ac-merge-mid-order": ["verify-ac", "avwxz.json", "--nonface", "a,x"],
+    "verify-ac-remove-mid-order": ["verify-ac", "avwxz.json", "--nonface", "a,x",
+                                   "--convention", "remove"],
     "verify-theorem-search": ["verify-theorem", "square.json", "--search"],
     "reciprocity-search": ["reciprocity", "octa-lift.json", "--search"],
     "logconcavity": ["logconcavity", "ac.json"],
@@ -96,6 +108,7 @@ RUNS = {
     "uniform-disjoint": ["uniform", "--n", "8", "--r", "4", "--lift", "disjoint"],
     "lift-apex-free-vertex": ["lift", "lonely.json", "--mode", "apex"],
     "lift-disjoint": ["lift", "square.json", "--mode", "disjoint"],
+    "lift-disjoint-octahedron": ["lift", "octahedron.json", "--mode", "disjoint"],
     "lift-apex-mid-order": ["lift", "aqz.json", "--mode", "apex"],
     "lift-disjoint-mid-order": ["lift", "aqz.json", "--mode", "disjoint"],
     "cyclo-check": ["cyclo-check", "--primes", "3,5,7", "--j", "7"],
@@ -122,6 +135,9 @@ RUNS = {
                                          "square-repeated-sigma.json"],
     "error-alpha-not-antichain": ["verify-theorem", "square.json", "--alpha",
                                   "square-alpha-not-antichain.json"],
+    "error-alpha-repeated-label": ["verify-theorem", "square.json", "--alpha",
+                                   "square-repeated-label.json"],
+    "error-nonface-label": ["verify-ac", "square.json", "--nonface", "a,zz"],
     "error-facet-label": ["chromatic", "bad-facet-label.json"],
     "error-generator-label": ["chromatic", "bad-generator-label.json"],
     "error-not-antichain": ["chromatic", "not-antichain.json"],
@@ -130,6 +146,8 @@ RUNS = {
     "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
     "guard-matrix-size": ["homology", "u16-4.json"],
     "guard-vertices-apex-lift": ["lift", "wide-lift.json", "--mode", "apex"],
+    "guard-vertices-disjoint-lift": ["lift", "wide-lift.json", "--mode",
+                                     "disjoint"],
     # e lies in no minimal nonface, so the count ends on a free tail
     "oracle-count-free-tail": ["oracle-count", "lonely.json", "--q", "3"],
     "oracle-count": ["oracle-count", "ac.json", "--q", "4"],
@@ -155,12 +173,16 @@ DIGESTS = {
         "b6389dcce79c2871a4254ecfaf97374d43c9c6d61cbc40d5125c0aa98f56733c",
     "error-alpha-not-antichain":
         "ac4d5379c1c851542552d392624837c4a93145513c929014a0bfe77b68552da4",
+    "error-alpha-repeated-label":
+        "d736b9855ea57ee8242c56df441fc010a78161d97fa0b96d8c4107822310953b",
     "error-facet-label":
         "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
     "error-generator-label":
         "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
     "error-negative-q":
         "5395183ac5e78a83cc1ed5fbb5b62840d1deb41c6079184470b0d0ec67225217",
+    "error-nonface-label":
+        "2ee701a2837f412ef6fb36ec133d35dcc1a64666b78e8feeb345dbcd51f1ef7d",
     "error-not-antichain":
         "38b97ba30dacc438b420ff20f8ae5a27dcb972127e955049bc0387c3a3e90919",
     "error-repeated-sigma-logconcavity":
@@ -176,6 +198,8 @@ DIGESTS = {
     "guard-model-size":
         "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
     "guard-vertices-apex-lift":
+        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
+    "guard-vertices-disjoint-lift":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-facets":
         "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
@@ -193,6 +217,8 @@ DIGESTS = {
         "489609cfd255b7debc88bc64a2ce5b38557435d4076691fbb67c7fa45eb9e419",
     "lift-disjoint-mid-order":
         "ab128c1edee87e67bbf34fc6b149b4a02955dc8b640fb3a6fdaf89e30c62e3c3",
+    "lift-disjoint-octahedron":
+        "c3e2ca7c6ad5ef825a386ed38fdeebe875fc3a066b78647bc65caf52e68b9f2b",
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-identity":
@@ -213,8 +239,12 @@ DIGESTS = {
         "26e9b04462fba65b611c79777c3a9725aac698b6b98117243791af0da8bf8a4a",
     "verify-ac-merge":
         "6f5fce1b5c243a7eaec79753b6d93677e402c7476d7c48389bb90af9767b664a",
+    "verify-ac-merge-mid-order":
+        "e45084f1902d252c96a4668d864a21ce0d879ffd34de32e316fb670e00978a7e",
     "verify-ac-remove":
         "cf87d0f416fd2fc5142ddc80d612ec687f510beebebb05851acd7c3aebc938c0",
+    "verify-ac-remove-mid-order":
+        "8aa0d79d1dd3521821c9d06af7005346082e560c52f3bcbe9c0a54aa49e6068e",
     "verify-theorem-search":
         "b6838093c4ab612ad513f82685abeb3322a284ade8816944b3e570792a70e463",
 }

@@ -56,6 +56,20 @@ def test_graph_and_alpha_parsing():
         alpha_from_data([{"sigma": ["a", "b"]}])
 
 
+def test_alpha_parsing_rejects_a_repeated_label():
+    # as sets the pairs would be valid: the repeat must not vanish silently
+    data = [{"sigma": ["a", "c", "c"], "alpha": ["a", "a"]},
+            {"sigma": ["b", "d"], "alpha": ["b", "b"]}]
+    with pytest.raises(InputError, match=r"^f\[0\]\.sigma: repeated label 'c'$"):
+        alpha_from_data(data, "f")
+    data[0]["sigma"] = ["a", "c"]
+    with pytest.raises(InputError, match=r"^f\[0\]\.alpha: repeated label 'a'$"):
+        alpha_from_data(data, "f")
+    data[0]["alpha"] = ["a"]
+    with pytest.raises(InputError, match=r"^f\[1\]\.alpha: repeated label 'b'$"):
+        alpha_from_data(data, "f")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
