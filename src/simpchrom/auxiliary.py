@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (NonfaceFamily, SimplicialComplex, _antichain_family,
+from .complexes import (NonfaceFamily, SimplicialComplex, _bits,
                         _check_vertex_count, _reindex, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
@@ -295,26 +295,35 @@ def lift_with_apex(T: SimplicialComplex):
 def lift_disjoint(T: SimplicialComplex):
     """One fresh vertex per minimal nonface; requires pairwise-disjoint nonfaces.
 
-    S is built from its sigmas, each an alpha plus its own fresh vertex.  So
-    sigma_i inside sigma_j puts alpha_i inside alpha_j, and the sigmas are an
-    antichain like the alphas: they skip the input check.
+    Each sigma is an alpha plus its own fresh vertex, so the sigmas are
+    pairwise disjoint too, and a set is a face of S when it misses a vertex
+    of every sigma.  The facets of S drop exactly one vertex of each sigma,
+    and its minimal nonfaces are the sigmas; both are built as masks, with
+    no dualization.
     """
-    alphas = [frozenset(T.labels_of(m)) for m in T.minimal_nonface_masks]
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if alphas[i] & alphas[j]:
+    nonfaces = T.minimal_nonface_masks
+    for i, a in enumerate(nonfaces):
+        for b in nonfaces[i + 1:]:
+            if a & b:
                 raise ValueError(
-                    f"nonfaces {sorted(alphas[i])} and {sorted(alphas[j])} "
+                    f"nonfaces {list(T.labels_of(a))} and {list(T.labels_of(b))} "
                     "are not disjoint")
     used = set(T.vertices)
-    sigmas = []
-    for k, a in enumerate(alphas):
+    fresh = []
+    for k in range(len(nonfaces)):
         q = fresh_label(used, f"q{k + 1}")
         used.add(q)
-        sigmas.append(a | {q})
-    family = _antichain_family(tuple(sorted(s)) for s in sigmas)
-    S = SimplicialComplex.from_minimal_nonfaces(sorted(used), family)
-    return S, _lift_assignment(sigmas, alphas, T)
+        fresh.append(q)
+    labels = sorted(used)
+    _check_vertex_count(len(labels))
+    move = _reindex(T.vertices, labels)
+    sigmas = [move(m) | 1 << labels.index(q) for m, q in zip(nonfaces, fresh)]
+    facets = [(1 << len(labels)) - 1]
+    for m in sigmas:
+        facets = [f ^ 1 << v for f in facets for v in _bits(m)]
+    S = SimplicialComplex(labels, facets, nonface_masks=sigmas)
+    alphas = [frozenset(T.labels_of(m)) for m in nonfaces]
+    return S, _lift_assignment([a | {q} for a, q in zip(alphas, fresh)], alphas, T)
 
 
 def require_matching_sigmas(S: SimplicialComplex, assign: AlphaAssignment) -> None:

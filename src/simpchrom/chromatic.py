@@ -2,10 +2,12 @@
 
 The polynomial is t^n plus, for every nonempty subset I of the minimal
 nonfaces, a signed term t^(n - |union of I| + c(I)) where c(I) counts the
-connected components of the intersection graph of I.  Two independent
+connected components of the intersection graph of I.  The terms are added
+up by state, not one subset at a time: subsets that agree on everything a
+later nonface can still change share one signed count.  Two independent
 oracles live alongside: the finite-model count, which counts the colourings
 with no monochromatic minimal nonface by placing vertices into colour classes
-(it shares only the nonface bitmasks with the walk), and the classical graph
+(it shares only the nonface bitmasks with the sum), and the classical graph
 chromatic polynomial via deletion-contraction.
 
 Sign convention: the direct inclusion-exclusion expansion of the removed
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (SimplicialComplex, _antichain_max, _bits, _masks,
-                        _reindex, fresh_label)
+from .complexes import (SimplicialComplex, _antichain_max, _bits,
+                        _later_unions, _masks, _reindex, fresh_label)
 from .polynomials import IntPolynomial
-from .report import CheckReport, GuardError, report
+from .report import CheckReport, GuardError, check_live_states, report
 
 NONFACE_LIMIT = 25
 MODEL_LIMIT = 10 ** 8
@@ -64,12 +66,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
-    """Inclusion-exclusion over all subsets of the minimal nonfaces.
-
-    Subsets are visited in DFS order adding one generator at a time; the
-    running union is a bitset and the component list is merged incrementally,
-    so each of the 2^r nodes costs one scan over the current components.
-    """
+    """Inclusion-exclusion over all subsets of the minimal nonfaces."""
     gens = S.minimal_nonface_masks
     r = len(gens)
     if r > NONFACE_LIMIT:
@@ -77,27 +74,63 @@ def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
             "nonface_count",
             f"{r} minimal nonfaces exceed the {NONFACE_LIMIT} enumeration limit; "
             "use the auxiliary-complex identity instead")
-    n = S.n
-    coeff = [0] * (n + 1)
-    coeff[n] += 1
+    return _chromatic_sum(S.n, gens)
 
-    def walk(start, union, comps, sign):
-        nsign = -sign
-        for j in range(start, r):
-            g = gens[j]
-            merged = g
+
+def _chromatic_sum(n: int, gens) -> IntPolynomial:
+    """chi_c on n vertices from the minimal nonface masks, summed by state.
+
+    The generators are taken in order, and each subset I either holds the
+    next one or leaves it out.  All the rest of the sum needs to know of I is
+    its state: the exponent n - |union of I| + c(I) so far, and the
+    components of I cut down to the live vertices, those a later generator
+    holds.  A vertex retires after its last generator, which no later one
+    can reach, so a component just drops it.  Subsets in one state add up
+    their signed counts, and the last generator reads each state straight
+    into the coefficients.  The cost is the live states, not the 2^r
+    subsets; STATE_LIMIT bounds them.
+    """
+    coeff = [0] * (n + 1)
+    if not gens:
+        coeff[n] = 1
+        return IntPolynomial(coeff)
+    states = {((), n): 1}  # (live components, exponent) -> signed count
+    for g, live in zip(gens, _later_unions(gens)[:-1]):
+        retiring = g & ~live
+        nxt = states.copy()  # the subsets that leave g out
+        for state, count in states.items():
+            comps, e = state
+            met = 0
             rest = []
             for cm in comps:
                 if cm & g:
-                    merged |= cm
+                    met |= cm
                 else:
                     rest.append(cm)
-            rest.append(merged)
-            nu = union | g
-            coeff[n - nu.bit_count() + len(rest)] += nsign
-            walk(j + 1, nu, rest, nsign)
-
-    walk(0, 0, [], 1)
+            if met & retiring:  # its copy holds vertices that retire with g
+                del nxt[state]
+                out = (tuple(sorted(cm & live for cm in comps if cm & live)), e)
+                nxt[out] = nxt.get(out, 0) + count
+            e += len(rest) - len(comps) + 1 - (g & ~met).bit_count()
+            merged = (g | met) & live
+            if merged:
+                rest.append(merged)
+                rest.sort()
+            held = (tuple(rest), e)
+            nxt[held] = nxt.get(held, 0) - count
+        states = nxt
+        check_live_states(len(states),
+                          "use the auxiliary-complex identity instead")
+    g = gens[-1]
+    for (comps, e), count in states.items():
+        met = 0
+        joined = 0
+        for cm in comps:
+            if cm & g:
+                met |= cm
+                joined += 1
+        coeff[e] += count
+        coeff[e + 1 - joined - (g & ~met).bit_count()] -= count
     return IntPolynomial(coeff)
 
 

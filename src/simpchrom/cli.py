@@ -31,8 +31,9 @@ from .hilbert import (h_vector, numerator_by_inclusion_exclusion,
 from .homology import reduced_homology
 from .polynomials import format_poly
 from .report import GuardError
-from .serialize import (InputError, alpha_to_data, complex_to_data, load_alpha,
-                        load_complex, load_complex_or_graph, poly_to_data)
+from .serialize import (InputError, _label_set, alpha_to_data, complex_to_data,
+                        load_alpha, load_complex, load_complex_or_graph,
+                        poly_to_data)
 from .sweep import CSV_COLUMNS, run_sweep
 
 SIGN_CONVENTION = "direct_inclusion_exclusion"
@@ -42,6 +43,7 @@ def _parse_nonface(text: str) -> list[str]:
     parts = [p for p in text.split(",") if p]
     if not parts:
         raise InputError("--nonface", "expected comma-separated labels")
+    _label_set(parts, "--nonface")  # a repeated label is an input error
     return parts
 
 

@@ -16,11 +16,11 @@ are themselves nonfaces, and are constructed with ``relaxed=True``.
 A nonface family is checked once, where label sets enter the library: a
 ``NonfaceFamily`` a caller builds, ``from_minimal_nonfaces`` given label
 lists, and ``auxiliary.auxiliary_complex`` on the alphas of an assignment that
-came in.  Families derived from the masks of a complex (``minimal_nonfaces()``
-and the disjoint lift's sigmas) are antichains by construction and are
-wrapped by ``_antichain_family`` without the check; the apex lift and the
-auxiliary complex a lift hands over are built by the constructor from their
-facet and nonface masks alone.
+came in.  A family derived from the masks of a complex
+(``minimal_nonfaces()``) is an antichain by construction and is wrapped by
+``_antichain_family`` without the check; both lifts and the auxiliary
+complex a lift hands over are built by the constructor from their facet and
+nonface masks alone.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def _bits(mask: int):
 def _masks(labels, sets, what: str) -> list[int]:
     """Bitmask of each label set, bit i standing for labels[i].
 
-    An unknown label is a ValueError that names the offending set as a
-    ``what`` (facet, generator).
+    An unknown or repeated label is a ValueError that names the offending
+    set as a ``what`` (facet, generator).
     """
     index = {v: i for i, v in enumerate(labels)}
     out = []
@@ -53,8 +53,22 @@ def _masks(labels, sets, what: str) -> list[int]:
         for lab in s:
             if lab not in index:
                 raise ValueError(f"{what} {sorted(s)} references unknown label {lab!r}")
-            m |= 1 << index[lab]
+            bit = 1 << index[lab]
+            if m & bit:
+                raise ValueError(f"repeated vertex in {what} {tuple(sorted(s))}")
+            m |= bit
         out.append(m)
+    return out
+
+
+def _later_unions(masks) -> list[int]:
+    """Entry j is the union of the masks after masks[j]."""
+    out = []
+    later = 0
+    for m in reversed(masks):
+        out.append(later)
+        later |= m
+    out.reverse()
     return out
 
 

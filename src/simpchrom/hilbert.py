@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import NonfaceFamily, SimplicialComplex, _masks
+from .complexes import NonfaceFamily, SimplicialComplex, _later_unions, _masks
 from .polynomials import IntPolynomial
-from .report import GuardError
+from .report import GuardError, check_live_states
 
 GENERATOR_LIMIT = 25
 DEGREE_LIMIT = 12
@@ -36,25 +36,41 @@ class HVector:
 
 
 def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
-    """K(t) = sum over generator subsets I of (-1)^|I| t^|union of I|."""
+    """K(t) = sum over generator subsets I of (-1)^|I| t^|union of I|.
+
+    Summed by state, as chi_c is: walking the generators in order, a subset
+    needs only the live part of its union, the vertices a later generator
+    holds, and the size of the whole union.  One integer carries both, the
+    size above bit n.  Subsets in one state add up their signed counts, and
+    the last generator reads each state straight into the coefficients.
+    """
     gens = family.as_sets()
     r = len(gens)
     if r > GENERATOR_LIMIT:
         raise GuardError("generator_count",
                          f"{r} generators exceed the {GENERATOR_LIMIT} limit")
-    ground = sorted(set().union(*gens)) if gens else []
+    if not gens:
+        return IntPolynomial((1,))
+    ground = sorted(set().union(*gens))
     masks = _masks(ground, family.generators, "generator")
-    coeff = [0] * (len(ground) + 1)
-    coeff[0] += 1
-
-    def walk(start, union, sign):
-        nsign = -sign
-        for j in range(start, r):
-            nu = union | masks[j]
-            coeff[nu.bit_count()] += nsign
-            walk(j + 1, nu, nsign)
-
-    walk(0, 0, 1)
+    n = len(ground)
+    states = {0: 1}  # |union| << n | live part of the union -> signed count
+    for g, live in zip(masks, _later_unions(masks)[:-1]):
+        keep = live | -1 << n
+        nxt = {}
+        for state, count in states.items():
+            out = state & keep
+            nxt[out] = nxt.get(out, 0) + count
+            held = ((state | g) + ((g & ~state).bit_count() << n)) & keep
+            nxt[held] = nxt.get(held, 0) - count
+        states = nxt
+        check_live_states(len(states), "take K from the h-vector instead")
+    g = masks[-1]
+    coeff = [0] * (n + 1)
+    for state, count in states.items():
+        size = state >> n
+        coeff[size] += count
+        coeff[size + (g & ~state).bit_count()] -= count
     return IntPolynomial(coeff)
 
 

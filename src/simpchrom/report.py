@@ -21,6 +21,22 @@ class GuardError(Exception):
         self.limit = limit
 
 
+# Live states a state-summed inclusion-exclusion may carry from one
+# generator to the next.  A chi_c sum measured about 280 B of peak RSS per
+# state (the dict being built included), so the limit is a budget of about
+# 75 MB; one generator can at most double the count before the check.
+STATE_LIMIT = 2 ** 18
+
+
+def check_live_states(count: int, route: str) -> None:
+    """GuardError unless ``count`` live states fit under STATE_LIMIT;
+    ``route`` names the cheaper route to take instead."""
+    if count > STATE_LIMIT:
+        raise GuardError("live_states",
+                         f"{count} live states exceed the {STATE_LIMIT} limit; "
+                         f"{route}")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Structured pass/fail verdict with a concrete witness on failure.

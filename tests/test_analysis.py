@@ -189,6 +189,14 @@ def dualizations(monkeypatch):
 
 
 @pytest.mark.parametrize("lift", [lift_disjoint, lift_with_apex])
+def test_a_lift_builds_s_without_dualizing(lift, dualizations):
+    T = octahedron_boundary()
+    dualizations.clear()
+    lift(T)
+    assert dualizations == []
+
+
+@pytest.mark.parametrize("lift", [lift_disjoint, lift_with_apex])
 def test_a_reciprocity_report_builds_its_auxiliary_complex_once(
         lift, antichain_checks, dualizations):
     # both lifts of the octahedron have the antipodal pairs as alphas, so

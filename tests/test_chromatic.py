@@ -5,13 +5,15 @@ from itertools import product
 
 import pytest
 
+from simpchrom import report
 from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
-                                 chromatic_polynomial,
+                                 _chromatic_sum, chromatic_polynomial,
                                  complete_graph, complex_of_graph,
                                  finite_model_count,
                                  graph_chromatic, tidied_contraction,
                                  verify_addition_contraction)
-from simpchrom.complexes import SimplicialComplex
+from simpchrom.complexes import NonfaceFamily, SimplicialComplex
+from simpchrom.hilbert import numerator_by_inclusion_exclusion
 from simpchrom.polynomials import IntPolynomial
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex, random_graph
@@ -287,3 +289,42 @@ def test_guards():
     with pytest.raises(GuardError) as err:
         finite_model_count(SC.from_minimal_nonfaces("abcdefghij", []), 10 ** 8)
     assert err.value.limit == "model_size"
+
+
+def wide_nonfaces(seed):
+    """25 triples on 25 vertices that keep many components live at once:
+    each of vertices 0-9 lies in two random triples with two of vertices
+    10-24, and five more triples partition 10-24."""
+    rng = random.Random(seed)
+    outer = list(range(10, 25))
+    gens = set()
+    for v in range(10):
+        pair = set()
+        while len(pair) < 2:
+            pair.add(frozenset([v, *rng.sample(outer, 2)]))
+        gens |= pair
+    rng.shuffle(outer)
+    gens |= {frozenset(outer[i:i + 3]) for i in range(0, 15, 3)}
+    return sorted(tuple(sorted(g)) for g in gens)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_live_state_guard(seed, monkeypatch):
+    # under the default limit chi_c peaks at 93,248-143,628 live states
+    # here, K(t) at 11,885-17,470
+    gens = wide_nonfaces(seed)
+    assert len(gens) == 25
+    family = NonfaceFamily(tuple(tuple(f"v{v:02d}" for v in g) for g in gens))
+    assert numerator_by_inclusion_exclusion(family).evaluate(1) == 0
+    monkeypatch.setattr(report, "STATE_LIMIT", 2000)
+    with pytest.raises(GuardError) as err:
+        _chromatic_sum(25, [sum(1 << v for v in g) for g in gens])
+    assert err.value.limit == "live_states"
+    count = int(str(err.value).split()[0])
+    assert count > 2000
+    assert "2000 limit" in str(err.value)
+    assert "auxiliary-complex identity" in str(err.value)
+    with pytest.raises(GuardError) as err:
+        numerator_by_inclusion_exclusion(family)
+    assert err.value.limit == "live_states"
+    assert "h-vector" in str(err.value)

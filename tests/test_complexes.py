@@ -44,6 +44,11 @@ def test_from_facets_errors():
         SC.from_facets("ab", [("a", "c")])
     with pytest.raises(ValueError, match="in no face"):
         SC.from_facets("abc", [("a", "b")])
+    # a repeated label is rejected, not merged into one bit
+    with pytest.raises(ValueError, match=r"repeated vertex in facet \('a', 'a', 'b'\)"):
+        SC.from_facets("ab", [("a", "a", "b")])
+    with pytest.raises(ValueError, match="repeated vertex in face"):
+        SC.from_facets("abc", [("a", "b"), ("c",)]).add_face(["a", "c", "c"])
 
 
 def test_from_minimal_nonfaces_fixtures():

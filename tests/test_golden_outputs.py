@@ -69,6 +69,9 @@ FILES = {
     # sigma ac lists c twice and alpha lists a twice
     "square-repeated-label.json": [{"sigma": ["a", "c", "c"], "alpha": ["a", "a"]},
                                    {"sigma": ["b", "d"], "alpha": ["b"]}],
+    # facet ab lists a twice
+    "repeated-facet-label.json": {"vertices": ["a", "b"],
+                                  "facets": [["a", "a", "b"]]},
     "bad-facet-label.json": {"vertices": ["a", "b"], "facets": [["a", "z"]]},
     "bad-generator-label.json": {"vertices": ["a", "b", "c"],
                                  "minimal_nonfaces": [["a", "b"], ["c", "y"]]},
@@ -138,6 +141,9 @@ RUNS = {
     "error-alpha-repeated-label": ["verify-theorem", "square.json", "--alpha",
                                    "square-repeated-label.json"],
     "error-nonface-label": ["verify-ac", "square.json", "--nonface", "a,zz"],
+    "error-repeated-nonface-label": ["verify-ac", "square.json", "--nonface",
+                                     "a,c,c"],
+    "error-repeated-facet-label": ["chromatic", "repeated-facet-label.json"],
     "error-facet-label": ["chromatic", "bad-facet-label.json"],
     "error-generator-label": ["chromatic", "bad-generator-label.json"],
     "error-not-antichain": ["chromatic", "not-antichain.json"],
@@ -191,6 +197,10 @@ DIGESTS = {
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-sigma-verify":
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
+    "error-repeated-facet-label":
+        "04b06769c85ae44cf7fc51d4e8744a221cbd8f4f11979c4f5bfe768b8364bbd4",
+    "error-repeated-nonface-label":
+        "2001aff785a6edbb3ad2154be2f27c0ffa9a7fbc131a441e9eaed003475d1ca2",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
     "guard-matrix-size":
