@@ -12,7 +12,7 @@ from itertools import combinations
 from .auxiliary import (AlphaAssignment, auxiliary_complex, check_target_invariant,
                         is_apex_assignment, require_matching_sigmas,
                         verify_main_theorem)
-from .chromatic import NONFACE_LIMIT, chromatic_polynomial
+from .chromatic import chromatic_polynomial
 from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
 from .polynomials import (IntPolynomial, is_log_concave, is_signed_palindrome,
@@ -44,24 +44,25 @@ def octahedron_boundary() -> SimplicialComplex:
 
 def _chromatic_if_possible(S, assign):
     """chi_c through the reversed-numerator identity when an assignment is
-    given (and valid), else directly when the nonface count allows.
+    given (and valid), else directly, or None and the direct guard's message.
 
     An assignment whose sigmas are not the minimal nonfaces of S is a
     ValueError: its identity would describe another complex."""
     if assign is not None:
         require_matching_sigmas(S, assign)
-        try:
-            valid = check_target_invariant(assign).passed
+        try:  # the apex shape passes the invariant at any size, unscanned
+            valid = is_apex_assignment(assign) or check_target_invariant(assign).passed
         except GuardError:
-            valid = is_apex_assignment(assign)  # structural shortcut at scale
+            valid = False
         if not valid:
             return None, "assignment fails the target invariant"
         T = auxiliary_complex(assign)
         k_t = numerator_from_h(T)  # h-route scales past the generator guard
         return reciprocal(k_t, S.n), "identity"
-    if len(S.minimal_nonface_masks) <= NONFACE_LIMIT:
+    try:
         return chromatic_polynomial(S), "direct"
-    return None, f"nonface count exceeds {NONFACE_LIMIT} and no assignment given"
+    except GuardError as exc:
+        return None, str(exc)
 
 
 def log_concavity_report(S: SimplicialComplex,

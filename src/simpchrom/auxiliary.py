@@ -19,6 +19,7 @@ the smallest failing I, first in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .complexes import (NonfaceFamily, SimplicialComplex, _bits,
                         _check_vertex_count, _reindex, fresh_label)
@@ -89,6 +90,9 @@ def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
     After a witness only smaller sets are visited.
     """
     r = len(sigmas)
+    if r > SUBSET_SCAN_LIMIT:
+        raise GuardError("assignment_size",
+                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
     cap = start[0].bit_count() + r + 1
     found = None
 
@@ -158,10 +162,6 @@ def check_intersection_property(assign: AlphaAssignment,
 
 def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
     """|union sigma_I| - c(I) = |union alpha_I| for every nonempty I."""
-    r = len(assign)
-    if r > SUBSET_SCAN_LIMIT:
-        raise GuardError("assignment_size",
-                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
 
     def visit(idx, sig, alf, comps):
         if sig.bit_count() - len(comps) != alf.bit_count():
@@ -371,25 +371,23 @@ def verify_main_theorem(S: SimplicialComplex, assign: AlphaAssignment) -> CheckR
 def verify_constant_component(S: SimplicialComplex, a: int) -> CheckReport:
     """c(I) = a for every nonempty I, then the shifted-numerator identity.
 
+    c({i}) = 1, so for a != 1 the first nonface fails alone, and for a = 1
+    the smallest, lexicographically first failing I is a disjoint pair.
     The identity chi_c(S) - t^n = t^(n+a) * (K(1/t) - 1) is checked exactly
     through a degree-(n+a) coefficient reversal, so the Laurent tail must
     cancel to machine-checkable zero.
     """
     gens = S.minimal_nonfaces()
-    r = len(gens)
-    if r > SUBSET_SCAN_LIMIT:
-        raise GuardError("nonface_count",
-                         f"{r} nonfaces exceed the {SUBSET_SCAN_LIMIT} scan limit")
     sets = gens.as_sets()
-
-    def visit(idx, sig, alf, comps):
-        if len(comps) != a:
-            return {"I": _names(idx, sets), "components": len(comps), "expected": a}
-
-    found = _walk(S.minimal_nonface_masks, [0] * r, visit)
-    if found:
-        return report("constant_component", False, witness=found,
-                      a=a, identity_checked=False)
+    if a != 1:
+        failing = [0] if sets else []
+    else:
+        failing = next((p for p in combinations(range(len(sets)), 2)
+                        if not sets[p[0]] & sets[p[1]]), [])
+    if failing:  # one nonface is one component, a disjoint pair two
+        return report("constant_component", False, witness={
+            "I": [sorted(sets[i]) for i in failing], "components": len(failing),
+            "expected": a}, a=a, identity_checked=False)
     lhs = chromatic_polynomial(S) - IntPolynomial.monomial(S.n)
     k = numerator_by_inclusion_exclusion(gens)
     rhs = reciprocal(k, S.n + a) - IntPolynomial.monomial(S.n + a)

@@ -251,14 +251,13 @@ def verify_addition_contraction(S: SimplicialComplex, sigma,
     """
     if convention not in (REMOVE_ONLY, MERGE_VERTEX):
         raise ValueError(f"unknown contraction convention {convention!r}")
-    if _masks(S.vertices, [sigma], "nonface")[0] not in S.minimal_nonface_masks:
-        raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
+    # the contractions reject a sigma that is not a minimal nonface of S
+    contracted = {conv: tidied_contraction(S, sigma, conv)
+                  for conv in (MERGE_VERTEX, REMOVE_ONLY)}
     base = chromatic_polynomial(S)
     added = chromatic_polynomial(S.add_face(sigma))
-    residuals = {}
-    for conv in (MERGE_VERTEX, REMOVE_ONLY):
-        contracted = chromatic_polynomial(tidied_contraction(S, sigma, conv))
-        residuals[conv] = base - added + contracted
+    residuals = {conv: base - added + chromatic_polynomial(C)
+                 for conv, C in contracted.items()}
     ok = residuals[convention].is_zero()
     return report(
         "addition_contraction", ok,

@@ -123,6 +123,8 @@ def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
 
 def series_coefficients(S: SimplicialComplex, upto: int) -> list[int]:
     """Coefficients 0..upto of K(t)/(1-t)^n expanded as a power series."""
+    if upto < 0:
+        raise ValueError("degree must be nonnegative")
     k = numerator_by_inclusion_exclusion(S.minimal_nonfaces())
     n = S.n
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from simpchrom import sweep
+from simpchrom import report, sweep
 from simpchrom.analysis import (dehn_sommerville_check, log_concavity_report,
                                 octahedron_boundary, reciprocity_report,
                                 uniform_matroid_complex)
@@ -64,6 +64,20 @@ def test_log_concavity_u96():
 def test_log_concavity_octahedron():
     rep = log_concavity_report(octahedron_boundary())
     assert rep.details["sub_results"]["h_vector"]["verdict"] == "PASS"
+
+
+def test_a_guard_on_the_direct_route_is_not_applicable(monkeypatch):
+    # the chi_c sum holds two live states after the first nonface
+    monkeypatch.setattr(report, "STATE_LIMIT", 1)
+    rep = log_concavity_report(octahedron_boundary())
+    subs = rep.details["sub_results"]
+    reason = rep.details["chromatic_route"]
+    assert reason.startswith("2 live states exceed the 1 limit")
+    for name in ("chromatic", "chromatic_translate"):
+        assert subs[name]["verdict"] == "NOT_APPLICABLE"
+        assert subs[name]["details"]["reason"] == reason
+    assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"
+    assert rep.passed
 
 
 def test_log_concavity_through_the_identity_route():

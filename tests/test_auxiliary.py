@@ -386,6 +386,29 @@ def test_target_invariant_guard():
         check_target_invariant(AlphaAssignment(pairs))
 
 
+@pytest.mark.parametrize("check", [check_intersection_property,
+                                   check_target_invariant])
+def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatch):
+    visits = []
+    walk = auxiliary._walk
+
+    def counting_walk(sigmas, alphas, visit, *start):
+        def counted(*state):
+            visits.append(state)
+            return visit(*state)
+        return walk(sigmas, alphas, counted, *start)
+
+    monkeypatch.setattr(auxiliary, "_walk", counting_walk)
+    monkeypatch.setattr(auxiliary, "SUBSET_SCAN_LIMIT", 3)
+    pairs = tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(4))
+    with pytest.raises(GuardError, match="4 pairs exceed the 3 scan limit") as exc:
+        check(AlphaAssignment(pairs))
+    assert exc.value.limit == "assignment_size"
+    assert visits == []
+    assert check(AlphaAssignment(pairs[:3])).passed
+    assert len(visits) == 7
+
+
 def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
     # 4^11 candidate combinations, but the first candidate passes at every
     # level, so the search walks only 2^11 - 1 subsets
@@ -515,6 +538,24 @@ def test_scans_report_the_smallest_lexicographically_first_witness():
             kinds.add("constant_component")
     assert failing >= 100
     assert kinds == {None, "disjointness", "cardinality", "constant_component"}
+
+
+def test_pairs_decide_constant_components():
+    # the definition scans every nonempty I; the check looks at pairs only
+    rng = random.Random(311)
+    sizes, failing = set(), set()
+    for _ in range(300):
+        S = random_complex(rng, n_max=8, r_max=8)
+        sizes.add(len(S.minimal_nonface_masks))
+        for a in (0, 1, 2):
+            expected = brute_constant_component(S, a)
+            rep = verify_constant_component(S, a)
+            assert rep.details["identity_checked"] == (expected is None)
+            if expected is not None:
+                assert not rep.passed and rep.witness == expected
+                failing.add(len(expected["I"]))
+    assert sizes == set(range(9))
+    assert failing == {1, 2}
 
 
 def test_search_alpha_returns_the_first_assignment_in_product_order():

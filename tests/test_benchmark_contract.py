@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from simpchrom import CyclotomicSpec, check_constant_term_detection
+from simpchrom import (CyclotomicSpec, SimplicialComplex,
+                       check_constant_term_detection, chromatic_polynomial,
+                       lift_with_apex, log_concavity_report,
+                       uniform_matroid_complex, verify_main_theorem)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -39,3 +42,23 @@ def test_residue_labelings_and_detector_details(labeling):
     rep = check_constant_term_detection(spec, 2)
     assert rep.details["coefficient"] == 0
     assert len(rep.details["h_vector"]) == 3
+
+
+def test_apex_lift_report_takes_the_identity_route():
+    # the closure op's path: past the 20-pair scan, the apex shape vouches
+    # for the assignment
+    L, assign = lift_with_apex(uniform_matroid_complex(10, 5))
+    rep = log_concavity_report(L, assign)
+    assert len(assign) == 210
+    assert rep.details["chromatic_route"] == "identity"
+
+
+def test_main_theorem_details_of_an_apex_lift():
+    # the theorem suite reads these details of a small apex lift
+    T = SimplicialComplex.from_minimal_nonfaces("abcd", [("a", "c"), ("b", "d")])
+    S, assign = lift_with_apex(T)
+    rep = verify_main_theorem(S, assign)
+    d = rep.details
+    assert rep.passed
+    assert (d["n_T"], d["d_T"], d["check_b_h_form"]) == (4, 2, False)
+    assert d["chromatic"] == list(chromatic_polynomial(S).coeffs)

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from simpchrom import report
+from simpchrom import chromatic, report
 from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
                                  _chromatic_sum, chromatic_polynomial,
                                  complete_graph, complex_of_graph,
@@ -250,6 +250,17 @@ def test_tidied_contraction_matches_the_label_reference():
 def test_tidied_contraction_requires_minimal_nonface():
     with pytest.raises(ValueError, match="not a minimal nonface"):
         tidied_contraction(square_complex(), ("a", "b"))
+
+
+def test_addition_contraction_rejects_sigma_before_any_sum(monkeypatch):
+    calls = []
+    monkeypatch.setattr(chromatic, "chromatic_polynomial", calls.append)
+    with pytest.raises(ValueError, match=r"\['a', 'b'\] is not a minimal nonface"):
+        verify_addition_contraction(square_complex(), ("a", "b"))
+    with pytest.raises(ValueError, match=r"nonface \['a', 'z'\] references "
+                                         "unknown label 'z'"):
+        verify_addition_contraction(square_complex(), ("a", "z"))
+    assert calls == []
 
 
 def test_addition_contraction_two_vertex():

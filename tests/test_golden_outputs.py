@@ -90,6 +90,15 @@ FILES = {
     "u16-4.json": {"vertices": [f"v{i:02d}" for i in range(16)],
                    "facets": [list(c) for c in combinations(
                        [f"v{i:02d}" for i in range(16)], 4)]},
+    # the apex lift of U(7,4): 21 nonfaces, past the 20-pair subset scan
+    # limit, which verify-cc and hilb-window no longer run
+    "u7-4-apex.json": {"vertices": [f"v{i}" for i in range(1, 8)] + ["q"],
+                       "minimal_nonfaces": [list(c) + ["q"] for c in combinations(
+                           [f"v{i}" for i in range(1, 8)], 5)]},
+    # U(9,6): 36 minimal nonfaces, past chromatic's 25-nonface limit
+    "u9-6.json": {"vertices": [f"v{i:02d}" for i in range(9)],
+                  "facets": [list(c) for c in combinations(
+                      [f"v{i:02d}" for i in range(9)], 6)]},
 }
 
 RUNS = {
@@ -160,6 +169,17 @@ RUNS = {
     "oracle-count-q0": ["oracle-count", "tri.json", "--q", "0"],
     "guard-model-size": ["oracle-count", "square.json", "--q", "101"],
     "error-negative-q": ["oracle-count", "square.json", "--q", "-1"],
+    "error-negative-expand": ["hilbert", "square.json", "--expand", "-1"],
+    # constant-component witnesses: the first disjoint pair when a = 1, the
+    # first nonface alone otherwise
+    "verify-cc-disjoint-pair": ["verify-cc", "square.json", "--a", "1"],
+    "verify-cc-singleton": ["verify-cc", "ac.json", "--a", "2"],
+    "hilb-window-disjoint-pair": ["hilb-window", "square.json", "--a", "1"],
+    "verify-cc-apex-lift": ["verify-cc", "u7-4-apex.json", "--a", "1"],
+    "hilb-window-apex-lift": ["hilb-window", "u7-4-apex.json", "--a", "1"],
+    # no assignment and too many nonfaces: chromatic's guard message is the
+    # NOT_APPLICABLE reason
+    "logconcavity-nonface-guard": ["logconcavity", "u9-6.json"],
 }
 
 DIGESTS = {
@@ -185,22 +205,24 @@ DIGESTS = {
         "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
     "error-generator-label":
         "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
+    "error-negative-expand":
+        "5c50a1d8b8d9c443c6487ef79d226179e694074126183733762ef56a3b37b767",
     "error-negative-q":
         "5395183ac5e78a83cc1ed5fbb5b62840d1deb41c6079184470b0d0ec67225217",
     "error-nonface-label":
         "2ee701a2837f412ef6fb36ec133d35dcc1a64666b78e8feeb345dbcd51f1ef7d",
     "error-not-antichain":
         "38b97ba30dacc438b420ff20f8ae5a27dcb972127e955049bc0387c3a3e90919",
+    "error-repeated-facet-label":
+        "04b06769c85ae44cf7fc51d4e8744a221cbd8f4f11979c4f5bfe768b8364bbd4",
+    "error-repeated-nonface-label":
+        "2001aff785a6edbb3ad2154be2f27c0ffa9a7fbc131a441e9eaed003475d1ca2",
     "error-repeated-sigma-logconcavity":
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-sigma-reciprocity":
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-sigma-verify":
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
-    "error-repeated-facet-label":
-        "04b06769c85ae44cf7fc51d4e8744a221cbd8f4f11979c4f5bfe768b8364bbd4",
-    "error-repeated-nonface-label":
-        "2001aff785a6edbb3ad2154be2f27c0ffa9a7fbc131a441e9eaed003475d1ca2",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
     "guard-matrix-size":
@@ -215,6 +237,10 @@ DIGESTS = {
         "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
     "guard-vertices-nonfaces":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
+    "hilb-window-apex-lift":
+        "ae771c6d8997572d0ef204a80ca22f73c55fe7f25bbb7866b1f98900edb8c602",
+    "hilb-window-disjoint-pair":
+        "0ed062e4c19acfc091a5d541abaf88c66fca94ab4456b8b72597f37cf17a9b00",
     "hilbert-expand":
         "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
     "homology":
@@ -233,6 +259,8 @@ DIGESTS = {
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
+    "logconcavity-nonface-guard":
+        "10336ee9583ed0f37777f2ac4e8b05699e764363f0114fe88ae1a7a2348bf962",
     "oracle-count":
         "0b44e116afd3f50ce80f3f9e96ffa191f0e85077fd2651b7123885d40f3b5d51",
     "oracle-count-free-tail":
@@ -255,6 +283,12 @@ DIGESTS = {
         "cf87d0f416fd2fc5142ddc80d612ec687f510beebebb05851acd7c3aebc938c0",
     "verify-ac-remove-mid-order":
         "8aa0d79d1dd3521821c9d06af7005346082e560c52f3bcbe9c0a54aa49e6068e",
+    "verify-cc-apex-lift":
+        "f24262cfa9a42f177bec9e73a84086ba4e4426b6565add7ab815094f42b8919e",
+    "verify-cc-disjoint-pair":
+        "030836012b81b76f31b6f819d723e386c32f0e59d219f13ea64bbd56dd203601",
+    "verify-cc-singleton":
+        "9d2ae2bc70df311114e5615d4b36b229e1a9faf8bc58f8a9e3745d63dd7777e9",
     "verify-theorem-search":
         "b6838093c4ab612ad513f82685abeb3322a284ade8816944b3e570792a70e463",
 }

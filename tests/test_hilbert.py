@@ -84,6 +84,9 @@ def test_standard_monomial_count_fixtures():
     assert standard_monomial_count(tri, 0) == 1
     with pytest.raises(GuardError):
         standard_monomial_count(tri, 13)
+    for count in (standard_monomial_count, series_coefficients):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            count(tri, -1)
 
 
 def test_series_matches_monomial_count():

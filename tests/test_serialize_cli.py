@@ -1,6 +1,10 @@
 """File formats, canonical output, CLI exit codes and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +300,19 @@ def test_cli_sweep_determinism(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     header = first.read_text().splitlines()[0]
     assert header == "instance_id,seed,n,r,check_name,verdict,witness"
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--seed", "42"],
+                                  ["cyclo-check", "--primes", "3,x", "--j", "1"]])
+def test_python_dash_m_matches_in_process_main(argv, capsys):
+    # runs __main__.py as a process, on the package under src/
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "simpchrom", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+    assert code == (0 if argv[0] == "sweep" else 2)
