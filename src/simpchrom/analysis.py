@@ -57,7 +57,7 @@ def _chromatic_if_possible(S, assign):
         if not valid:
             return None, "assignment fails the target invariant"
         T = auxiliary_complex(assign)
-        k_t = numerator_from_h(T)  # h-route scales past the generator guard
+        k_t = numerator_from_h(T)  # the h-route walks no generator subsets
         return reciprocal(k_t, S.n), "identity"
     try:
         return chromatic_polynomial(S), "direct"

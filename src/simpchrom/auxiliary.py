@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import (NonfaceFamily, SimplicialComplex, _bits,
-                        _check_vertex_count, _reindex, fresh_label)
+                        _check_vertex_count, _masks, _reindex, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -73,11 +73,10 @@ class AlphaAssignment:
 
 
 def _bitmasks(*families) -> list[list[int]]:
-    """Label sets as bitmasks over one shared label index; no set repeats a
-    label, so the sum of its bits is their union."""
-    bit = {}
-    return [[sum(bit.setdefault(x, 1 << len(bit)) for x in s) for s in sets]
-            for sets in families]
+    """Each family of label sets as masks over the sorted union of their
+    labels, so the layout does not depend on set iteration order."""
+    labels = sorted(set().union(*(s for sets in families for s in sets)))
+    return [_masks(labels, sets, "label set") for sets in families]
 
 
 def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):

@@ -24,7 +24,6 @@ from .complexes import (SimplicialComplex, _antichain_max, _bits,
 from .polynomials import IntPolynomial
 from .report import CheckReport, GuardError, check_live_states, report
 
-NONFACE_LIMIT = 25
 MODEL_LIMIT = 10 ** 8
 GRAPH_VERTEX_LIMIT = 12
 
@@ -67,14 +66,7 @@ def complete_graph(n: int) -> Graph:
 
 def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
     """Inclusion-exclusion over all subsets of the minimal nonfaces."""
-    gens = S.minimal_nonface_masks
-    r = len(gens)
-    if r > NONFACE_LIMIT:
-        raise GuardError(
-            "nonface_count",
-            f"{r} minimal nonfaces exceed the {NONFACE_LIMIT} enumeration limit; "
-            "use the auxiliary-complex identity instead")
-    return _chromatic_sum(S.n, gens)
+    return _chromatic_sum(S.n, S.minimal_nonface_masks)
 
 
 def _chromatic_sum(n: int, gens) -> IntPolynomial:
@@ -88,13 +80,14 @@ def _chromatic_sum(n: int, gens) -> IntPolynomial:
     can reach, so a component just drops it.  Subsets in one state add up
     their signed counts, and the last generator reads each state straight
     into the coefficients.  The cost is the live states, not the 2^r
-    subsets; STATE_LIMIT bounds them.
+    subsets; check_live_states bounds them, and their sum over the walk.
     """
     coeff = [0] * (n + 1)
     if not gens:
         coeff[n] = 1
         return IntPolynomial(coeff)
     states = {((), n): 1}  # (live components, exponent) -> signed count
+    summed = 0
     for g, live in zip(gens, _later_unions(gens)[:-1]):
         retiring = g & ~live
         nxt = states.copy()  # the subsets that leave g out
@@ -119,7 +112,8 @@ def _chromatic_sum(n: int, gens) -> IntPolynomial:
             held = (tuple(rest), e)
             nxt[held] = nxt.get(held, 0) - count
         states = nxt
-        check_live_states(len(states),
+        summed += len(states)
+        check_live_states(len(states), summed,
                           "use the auxiliary-complex identity instead")
     g = gens[-1]
     for (comps, e), count in states.items():

@@ -1,9 +1,9 @@
 """Finite abstract simplicial complexes stored canonically by facets.
 
 Vertices are label strings, sorted lexicographically; faces live as bitmasks
-over that order, bit i standing for the i-th label.  Only this module maps a
-complex's labels to bits (``auxiliary._bitmasks`` indexes an assignment's own
-labels): one encoder, ``_masks``, turns label sets into masks, one unchecked
+over that order, bit i standing for the i-th label.  Only this module maps
+labels to bits: one encoder, ``_masks``, turns label sets into masks (an
+assignment's over the sorted union of its own labels), one unchecked
 constructor builds a complex from masks, and one re-indexer, ``_reindex``,
 moves masks onto another sorted label set; other modules only read and
 combine masks.  Conversion between the facet and minimal nonface

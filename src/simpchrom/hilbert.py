@@ -17,7 +17,6 @@ from .complexes import NonfaceFamily, SimplicialComplex, _later_unions, _masks
 from .polynomials import IntPolynomial
 from .report import GuardError, check_live_states
 
-GENERATOR_LIMIT = 25
 DEGREE_LIMIT = 12
 
 
@@ -45,16 +44,13 @@ def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
     the last generator reads each state straight into the coefficients.
     """
     gens = family.as_sets()
-    r = len(gens)
-    if r > GENERATOR_LIMIT:
-        raise GuardError("generator_count",
-                         f"{r} generators exceed the {GENERATOR_LIMIT} limit")
     if not gens:
         return IntPolynomial((1,))
     ground = sorted(set().union(*gens))
     masks = _masks(ground, family.generators, "generator")
     n = len(ground)
     states = {0: 1}  # |union| << n | live part of the union -> signed count
+    summed = 0
     for g, live in zip(masks, _later_unions(masks)[:-1]):
         keep = live | -1 << n
         nxt = {}
@@ -64,7 +60,8 @@ def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
             held = ((state | g) + ((g & ~state).bit_count() << n)) & keep
             nxt[held] = nxt.get(held, 0) - count
         states = nxt
-        check_live_states(len(states), "take K from the h-vector instead")
+        summed += len(states)
+        check_live_states(len(states), summed, "take K from the h-vector instead")
     g = masks[-1]
     coeff = [0] * (n + 1)
     for state, count in states.items():
@@ -125,6 +122,8 @@ def series_coefficients(S: SimplicialComplex, upto: int) -> list[int]:
     """Coefficients 0..upto of K(t)/(1-t)^n expanded as a power series."""
     if upto < 0:
         raise ValueError("degree must be nonnegative")
+    if upto > DEGREE_LIMIT:  # the oracle it is checked against stops there
+        raise GuardError("monomial_degree", f"degree {upto} exceeds {DEGREE_LIMIT}")
     k = numerator_by_inclusion_exclusion(S.minimal_nonfaces())
     n = S.n
 

@@ -22,19 +22,27 @@ class GuardError(Exception):
 
 
 # Live states a state-summed inclusion-exclusion may carry from one
-# generator to the next.  A chi_c sum measured about 280 B of peak RSS per
-# state (the dict being built included), so the limit is a budget of about
-# 75 MB; one generator can at most double the count before the check.
+# generator to the next, and states it may sum over its whole walk.  A chi_c
+# sum measured about 280 B of peak RSS per state (the dict being built
+# included), so the first is a budget of about 75 MB; one generator can at
+# most double the count before the check.  Time goes with the second: 25
+# full steps, more than any sum of 25 generators takes.
 STATE_LIMIT = 2 ** 18
+STATE_WORK_LIMIT = 25 * STATE_LIMIT
 
 
-def check_live_states(count: int, route: str) -> None:
-    """GuardError unless ``count`` live states fit under STATE_LIMIT;
-    ``route`` names the cheaper route to take instead."""
-    if count > STATE_LIMIT:
+def check_live_states(live: int, summed: int, route: str) -> None:
+    """GuardError unless ``live`` states fit under STATE_LIMIT and the
+    ``summed`` states of the walk so far under STATE_WORK_LIMIT; ``route``
+    names the cheaper route to take instead."""
+    if live > STATE_LIMIT:
         raise GuardError("live_states",
-                         f"{count} live states exceed the {STATE_LIMIT} limit; "
+                         f"{live} live states exceed the {STATE_LIMIT} limit; "
                          f"{route}")
+    if summed > STATE_WORK_LIMIT:
+        raise GuardError("state_work",
+                         f"{summed} states summed exceed the {STATE_WORK_LIMIT} "
+                         f"limit; {route}")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,10 @@ def test_log_concavity_u96():
     subs = rep.details["sub_results"]
     assert subs["h_vector"]["verdict"] == "PASS"
     assert subs["f_vector"]["verdict"] == "PASS"
-    assert subs["chromatic"]["verdict"] == "NOT_APPLICABLE"
+    assert rep.details["chromatic_route"] == "direct"
+    assert subs["chromatic"]["verdict"] == "PASS"
+    assert subs["chromatic"]["details"]["sequence"] == [
+        0, -28, 63, -36, 0, 0, 0, 0, 0, 1]
     assert h_vector(uniform_matroid_complex(9, 6)).entries == (
         1, 3, 6, 10, 15, 21, 28)
 
@@ -78,6 +81,18 @@ def test_a_guard_on_the_direct_route_is_not_applicable(monkeypatch):
         assert subs[name]["details"]["reason"] == reason
     assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"
     assert rep.passed
+
+
+def test_state_work_on_the_direct_route_is_not_applicable(monkeypatch):
+    monkeypatch.setattr(report, "STATE_WORK_LIMIT", 10_000)
+    rep = log_concavity_report(uniform_matroid_complex(12, 6))
+    subs = rep.details["sub_results"]
+    reason = rep.details["chromatic_route"]
+    assert reason.startswith("10207 states summed exceed the 10000 limit")
+    for name in ("chromatic", "chromatic_translate"):
+        assert subs[name]["verdict"] == "NOT_APPLICABLE"
+        assert subs[name]["details"]["reason"] == reason
+    assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"
 
 
 def test_log_concavity_through_the_identity_route():

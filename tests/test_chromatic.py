@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from simpchrom import chromatic, report
+from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
                                  _chromatic_sum, chromatic_polynomial,
                                  complete_graph, complex_of_graph,
@@ -57,6 +58,16 @@ def test_chromatic_fixtures():
     assert chromatic_polynomial(triangle_boundary()) == P((0, -1, 0, 1))
     assert chromatic_polynomial(square_complex()) == P((0, 0, 1, -2, 1))
     assert chromatic_polynomial(path_complex()) == P((0, 1, -2, 1))
+
+
+def test_past_25_nonfaces_against_independent_routes():
+    # K_8 has 28 edges, U(9,6) 36 minimal nonfaces
+    k8 = complex_of_graph(complete_graph(8))
+    assert len(k8.minimal_nonface_masks) == 28
+    assert chromatic_polynomial(k8) == falling_factorial(8)
+    u96 = uniform_matroid_complex(9, 6)
+    chi = chromatic_polynomial(u96)
+    assert all(chi.evaluate(q) == finite_model_count(u96, q) for q in range(8))
 
 
 def test_complete_graph_specialization():
@@ -339,3 +350,19 @@ def test_live_state_guard(seed, monkeypatch):
         numerator_by_inclusion_exclusion(family)
     assert err.value.limit == "live_states"
     assert "h-vector" in str(err.value)
+
+
+def test_state_work_guard(monkeypatch):
+    # U(12,6) sums 657,820 states in either sum; both pass 10,000 at 10,207
+    u126 = uniform_matroid_complex(12, 6)
+    monkeypatch.setattr(report, "STATE_WORK_LIMIT", 10_000)
+    with pytest.raises(GuardError) as err:
+        chromatic_polynomial(u126)
+    assert err.value.limit == "state_work"
+    assert str(err.value) == ("10207 states summed exceed the 10000 limit; "
+                              "use the auxiliary-complex identity instead")
+    with pytest.raises(GuardError) as err:
+        numerator_by_inclusion_exclusion(u126.minimal_nonfaces())
+    assert err.value.limit == "state_work"
+    assert str(err.value) == ("10207 states summed exceed the 10000 limit; "
+                              "take K from the h-vector instead")

@@ -95,16 +95,25 @@ FILES = {
     "u7-4-apex.json": {"vertices": [f"v{i}" for i in range(1, 8)] + ["q"],
                        "minimal_nonfaces": [list(c) + ["q"] for c in combinations(
                            [f"v{i}" for i in range(1, 8)], 5)]},
-    # U(9,6): 36 minimal nonfaces, past chromatic's 25-nonface limit
+    # U(9,6): 36 minimal nonfaces
     "u9-6.json": {"vertices": [f"v{i:02d}" for i in range(9)],
                   "facets": [list(c) for c in combinations(
                       [f"v{i:02d}" for i in range(9)], 6)]},
+    # K_8: 28 edges, so 28 minimal nonfaces
+    "k8-graph.json": {"graph_vertices": list("abcdefgh"),
+                      "edges": [list(e) for e in combinations("abcdefgh", 2)]},
 }
 
 RUNS = {
     "sweep-42": ["sweep", "--seed", "42"],
     "chromatic-graph": ["chromatic", "c5-graph.json"],
     "hilbert-expand": ["hilbert", "lonely.json", "--expand", "6"],
+    # one degree past the monomial oracle's limit, and far past it: the series
+    # refuses both before it computes K
+    "hilbert-expand-degree-limit": ["hilbert", "square.json", "--expand", "13"],
+    "guard-monomial-degree": ["hilbert", "square.json", "--expand", "1000000"],
+    "chromatic-k8": ["chromatic", "k8-graph.json"],
+    "hilbert-u9-6": ["hilbert", "u9-6.json"],
     "verify-ac-merge": ["verify-ac", "ac.json", "--nonface", "2,3,4"],
     "verify-ac-remove": ["verify-ac", "ac.json", "--nonface", "2,3,4",
                          "--convention", "remove"],
@@ -177,14 +186,16 @@ RUNS = {
     "hilb-window-disjoint-pair": ["hilb-window", "square.json", "--a", "1"],
     "verify-cc-apex-lift": ["verify-cc", "u7-4-apex.json", "--a", "1"],
     "hilb-window-apex-lift": ["hilb-window", "u7-4-apex.json", "--a", "1"],
-    # no assignment and too many nonfaces: chromatic's guard message is the
-    # NOT_APPLICABLE reason
+    # no assignment and 36 nonfaces: the direct route sums chi_c by live
+    # state, so every sub-result has a verdict
     "logconcavity-nonface-guard": ["logconcavity", "u9-6.json"],
 }
 
 DIGESTS = {
     "chromatic-graph":
         "45359f2c3f466b4669da6edcc64dc1f90dbb3741272f44789e0fa4504b3344f4",
+    "chromatic-k8":
+        "744a95e26ad65958d3b6ed3d79b42efb619c1fe75ec04204f56ea43d0952e49f",
     "cyclcheck-c-2":
         "b717a4f5e9597be9fb738836c0e813484b0516843d64146029df82bddeecd3aa",
     "cyclcheck-c0":
@@ -229,6 +240,8 @@ DIGESTS = {
         "f97d2da3ca5ab5b43bae77585a299e1964d2eaf18cc34244bb4c9d3e14f89e63",
     "guard-model-size":
         "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
+    "guard-monomial-degree":
+        "1bb94a6f329e73f79d709bf93eea4eeba22bca35035cbcca8d1fc9f7de211f0a",
     "guard-vertices-apex-lift":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-disjoint-lift":
@@ -243,6 +256,10 @@ DIGESTS = {
         "0ed062e4c19acfc091a5d541abaf88c66fca94ab4456b8b72597f37cf17a9b00",
     "hilbert-expand":
         "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
+    "hilbert-expand-degree-limit":
+        "af4338f164e79464c7c7fad2ef8773ba4550750d96a27a86354c24c9c31f1eb8",
+    "hilbert-u9-6":
+        "38d7beb90785f6ccade26552f4d08a29d26ffb8914202b30813efbd59027fac7",
     "homology":
         "f4edc6222e03a59a455c1bf2a437ce5311df3b02bb6e20d4c61957b2541f6f0d",
     "lift-apex-free-vertex":
@@ -260,7 +277,7 @@ DIGESTS = {
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
     "logconcavity-nonface-guard":
-        "10336ee9583ed0f37777f2ac4e8b05699e764363f0114fe88ae1a7a2348bf962",
+        "fb73d05e0c44fe739015267830522954465000317a193db8644d45fac8fb56fd",
     "oracle-count":
         "0b44e116afd3f50ce80f3f9e96ffa191f0e85077fd2651b7123885d40f3b5d51",
     "oracle-count-free-tail":
