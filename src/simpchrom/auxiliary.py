@@ -10,10 +10,13 @@ constructions that manufacture complexes satisfying it.  The apex lift of T
 is the full simplex on V(T) plus the cone over T from a fresh vertex q,
 built from T's facets with no dualization.  Both lifts hand T, on the union
 of the alphas, to the assignment they return; only an assignment that comes
-in has its alphas checked and dualized by ``auxiliary_complex``.  All the
-subset scans, and the backtracking alpha search, run on one depth-first walker
-that carries the unions and components of sigma_I as bitmasks and reports
-the smallest failing I, first in lexicographic order.
+in has its alphas checked and dualized by ``auxiliary_complex``.  The
+target invariant is decided over live states, as chi_c is summed: the
+subsets I that share their live components and live alpha union share
+every later step.  A depth-first walker, which carries the unions and
+components of sigma_I as bitmasks, names its smallest, lexicographically
+first failing I, and runs the intersection scan and the backtracking alpha
+search.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import (NonfaceFamily, SimplicialComplex, _bits,
-                        _check_vertex_count, _masks, _reindex, fresh_label)
+                        _check_vertex_count, _later_unions, _masks, _reindex,
+                        fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -79,6 +83,14 @@ def _bitmasks(*families) -> list[list[int]]:
     return [_masks(labels, sets, "label set") for sets in families]
 
 
+def _check_scan_size(r: int) -> None:
+    """GuardError before any mask is built when r pairs are too many for
+    the walker's 2^r subsets."""
+    if r > SUBSET_SCAN_LIMIT:
+        raise GuardError("assignment_size",
+                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
+
+
 def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
     """Witness of the smallest, lexicographically first failing I = start + J.
 
@@ -86,12 +98,10 @@ def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
     preorder, which lists each size in lexicographic order.  start, and the
     state passed to visit, is (index bitmask, sigma union, alpha union,
     components of sigma_I); visit returns a witness or a falsy value.
-    After a witness only smaller sets are visited.
+    After a witness only smaller sets are visited.  Callers check the pair
+    count with _check_scan_size first.
     """
     r = len(sigmas)
-    if r > SUBSET_SCAN_LIMIT:
-        raise GuardError("assignment_size",
-                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
     cap = start[0].bit_count() + r + 1
     found = None
 
@@ -136,6 +146,7 @@ def check_intersection_property(assign: AlphaAssignment,
     """
     if mode not in (LITERAL, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_scan_size(len(assign))
     sigmas, alphas = assign.sigmas, assign.alphas
     sig_masks, alf_masks = _bitmasks(sigmas, alphas)
 
@@ -159,8 +170,67 @@ def check_intersection_property(assign: AlphaAssignment,
     return report("intersection_property", not found, witness=found, mode=mode)
 
 
+def _invariant_by_state(sigmas, alphas) -> tuple[bool, int]:
+    """Whether |union sigma_I| - c(I) = |union alpha_I| for every nonempty
+    I, decided over live states, and the number of states summed.
+
+    The pairs are taken in order, and each subset I either holds the next
+    pair j or leaves it out.  Its state is the components of sigma_I cut
+    down to the vertices a later sigma holds, and alpha_I cut down to those
+    a later alpha holds.  Adding j to I changes the two sides by
+    |sigma_j minus the components it meets| - 1 + (components it joins) and
+    |alpha_j minus alpha_I|, which the state decides, so every I is checked
+    when its largest pair is added, and every state kept holds for its
+    subsets.  False means a failing I, or more than r * 2^ceil(r/2) states
+    to sum (a failure seen only at a late pair can keep every subset
+    apart); either way the walker decides.
+    """
+    r = len(sigmas)
+    limit = r << (r + 1) // 2
+    states = {((), 0)}  # (live components of sigma_I, live alpha_I)
+    summed = 0
+    for g, a, live, live_a in zip(sigmas, alphas, _later_unions(sigmas),
+                                  _later_unions(alphas)):
+        if summed + len(states) > limit:
+            return False, summed
+        summed += len(states)
+        retiring, retiring_a = g & ~live, a & ~live_a
+        nxt = set(states)  # the subsets that leave pair j out
+        for state in states:
+            comps, alf = state
+            met = 0
+            rest = []
+            for cm in comps:
+                if cm & g:
+                    met |= cm
+                else:
+                    rest.append(cm)
+            if ((g & ~met).bit_count() + len(comps) - len(rest) - 1
+                    != (a & ~alf).bit_count()):
+                return False, summed
+            if met & retiring or alf & retiring_a:
+                nxt.discard(state)
+                nxt.add((tuple(sorted(cm & live for cm in comps if cm & live)),
+                         alf & live_a))
+            merged = (g | met) & live
+            if merged:
+                rest.append(merged)
+                rest.sort()
+            nxt.add((tuple(rest), (alf | a) & live_a))
+        states = nxt
+    return True, summed
+
+
 def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
-    """|union sigma_I| - c(I) = |union alpha_I| for every nonempty I."""
+    """|union sigma_I| - c(I) = |union alpha_I| for every nonempty I.
+
+    Decided over live states; only an assignment they do not prove is
+    walked, to name its smallest, lexicographically first failing I.
+    """
+    _check_scan_size(len(assign))
+    masks = _bitmasks(assign.sigmas, assign.alphas)
+    if _invariant_by_state(*masks)[0]:
+        return report("target_invariant", True)
 
     def visit(idx, sig, alf, comps):
         if sig.bit_count() - len(comps) != alf.bit_count():
@@ -168,7 +238,7 @@ def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
                     "sigma_union_size": sig.bit_count(), "components": len(comps),
                     "alpha_union_size": alf.bit_count()}
 
-    found = _walk(*_bitmasks(assign.sigmas, assign.alphas), visit)
+    found = _walk(*masks, visit)
     return report("target_invariant", not found, witness=found)
 
 
@@ -200,9 +270,7 @@ def search_alpha(family: NonfaceFamily) -> AlphaAssignment | None:
     """
     gens = family.generators
     r = len(gens)
-    if r > SUBSET_SCAN_LIMIT:
-        raise GuardError("assignment_size",
-                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
+    _check_scan_size(r)
     candidates = [sorted(tuple(sorted(set(g) - {x})) for x in g) for g in gens]
     sigmas, *candidate_masks = _bitmasks(gens, *candidates)
     alphas, chosen, nodes = [0] * r, [()] * r, 0

@@ -389,24 +389,122 @@ def test_target_invariant_guard():
 @pytest.mark.parametrize("check", [check_intersection_property,
                                    check_target_invariant])
 def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatch):
-    visits = []
-    walk = auxiliary._walk
+    visits, witnesses, states, masks = [], [], [], []
+    walk, by_state, bitmasks = (auxiliary._walk, auxiliary._invariant_by_state,
+                                auxiliary._bitmasks)
 
     def counting_walk(sigmas, alphas, visit, *start):
         def counted(*state):
             visits.append(state)
             return visit(*state)
-        return walk(sigmas, alphas, counted, *start)
+        witnesses.append(walk(sigmas, alphas, counted, *start))
+        return witnesses[-1]
+
+    def counting_states(*args):
+        proved, summed = by_state(*args)
+        states.append(summed)
+        return proved, summed
+
+    def counting_masks(*families):
+        masks.append(families)
+        return bitmasks(*families)
 
     monkeypatch.setattr(auxiliary, "_walk", counting_walk)
+    monkeypatch.setattr(auxiliary, "_invariant_by_state", counting_states)
+    monkeypatch.setattr(auxiliary, "_bitmasks", counting_masks)
     monkeypatch.setattr(auxiliary, "SUBSET_SCAN_LIMIT", 3)
     pairs = tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(4))
     with pytest.raises(GuardError, match="4 pairs exceed the 3 scan limit") as exc:
         check(AlphaAssignment(pairs))
     assert exc.value.limit == "assignment_size"
-    assert visits == []
+    assert (visits, states, masks) == ([], [], [])
     assert check(AlphaAssignment(pairs[:3])).passed
-    assert len(visits) == 7
+    if check is check_target_invariant:
+        # each pair retires its own vertices, so one state is live throughout
+        assert (visits, states) == ([], [3])
+    else:
+        assert len(visits) == 7
+    # alpha_2 = alpha_0 with sigma_2 disjoint from sigma_0: the walker names
+    # the failing I
+    rep = check(AlphaAssignment(pairs[:2] + ((fs("a2", "b2"), fs("a0")),)))
+    assert not rep.passed and visits and rep.witness == witnesses[-1]
+
+
+def ladder_antichain(r, n=12):
+    """The lattice ladder's T with r nonfaces, as ``antichain`` in
+    perfbench/workloads.py draws it."""
+    rng = random.Random(f"lattice-ladder:{r}")
+    labels = list("abcdefghijklmnopqrstuvwxyz"[:n])
+    kept = []
+    while len(kept) < r:
+        g = frozenset(rng.sample(labels, rng.randint(2, 4)))
+        if not any(g <= h or h <= g for h in kept):
+            kept.append(g)
+    return labels, sorted(tuple(sorted(g)) for g in kept)
+
+
+def state_pass(assign):
+    """(proved, states summed) of the target invariant's state pass."""
+    return auxiliary._invariant_by_state(
+        *auxiliary._bitmasks(assign.sigmas, assign.alphas))
+
+
+def walked_target_invariant(assign, monkeypatch):
+    """check_target_invariant with the state pass proving nothing, so the
+    walker scans every subset it needs."""
+    with monkeypatch.context() as m:
+        m.setattr(auxiliary, "_invariant_by_state", lambda *masks: (False, 0))
+        return check_target_invariant(assign)
+
+
+def test_states_and_walk_agree_on_the_target_invariant(monkeypatch):
+    # remove-one alphas, and alphas drawn from all of V(S), which can carry
+    # labels outside their sigma
+    rng, outside_rng = random.Random(3), random.Random(4)
+    counts = {"remove_one": [0, 0], "outside": [0, 0]}
+    for _ in range(3000):
+        S = random_complex(rng, n_max=7, r_max=6)
+        if not S.minimal_nonface_masks:
+            continue
+        for kind, assign in (("remove_one", random_remove_one(rng, S)),
+                             ("outside", random_companions(outside_rng, S))):
+            rep = check_target_invariant(assign)
+            walked = walked_target_invariant(assign, monkeypatch)
+            assert (rep.verdict, rep.witness) == (walked.verdict, walked.witness)
+            # up to six pairs the bound never fires: the pass proves every PASS
+            assert state_pass(assign)[0] == rep.passed
+            if kind == "remove_one" or any(not a <= g for g, a in assign.pairs):
+                counts[kind][0] += 1
+                counts[kind][1] += not rep.passed
+    assert counts == {"remove_one": [2564, 1213], "outside": [1565, 1197]}
+
+
+def test_the_state_pass_gives_up_within_its_bound():
+    # 19 disjoint pairs keep every subset of their x's apart until the last
+    # sigma, which joins all x's; its alpha drops x00, so every I holding
+    # it and a pair other than 0 fails, and only at the last pair
+    xs = [f"x{i:02d}" for i in range(19)]
+    pairs = tuple((fs(x, f"z{x[1:]}"), fs(x)) for x in xs) + (
+        (frozenset(xs), frozenset(xs[1:])),)
+    assign = AlphaAssignment(pairs)
+    r = len(assign)
+    proved, summed = state_pass(assign)
+    assert not proved and summed <= r << (r + 1) // 2
+    rep = check_target_invariant(assign)
+    assert rep.witness == brute_target_invariant(assign)
+    assert rep.witness["I"] == [["x01", "z01"], xs]
+
+
+def test_the_state_pass_alone_decides_the_lattice_ladder(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the state pass left a ladder lift to the walker")
+
+    monkeypatch.setattr(auxiliary, "_walk", no_walk)
+    for r in range(12, 21):
+        S, assign = lift_with_apex(SC.from_minimal_nonfaces(*ladder_antichain(r)))
+        proved, summed = state_pass(assign)
+        assert len(assign) == r and proved and summed <= 1605
+        assert check_target_invariant(assign).passed
 
 
 def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
