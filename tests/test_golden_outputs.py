@@ -95,6 +95,12 @@ FILES = {
     "u7-4-apex.json": {"vertices": [f"v{i}" for i in range(1, 8)] + ["q"],
                        "minimal_nonfaces": [list(c) + ["q"] for c in combinations(
                            [f"v{i}" for i in range(1, 8)], 5)]},
+    # the apex assignment of u7-4-apex.json with one alpha that keeps q and
+    # drops v5: not apex-shaped, and 21 pairs are past the scan limit
+    "u7-4-apex-alpha-not-apex.json": [
+        {"sigma": list(c) + ["q"],
+         "alpha": list(c) if i else list(c[:-1]) + ["q"]}
+        for i, c in enumerate(combinations([f"v{i}" for i in range(1, 8)], 5))],
     # U(9,6): 36 minimal nonfaces
     "u9-6.json": {"vertices": [f"v{i:02d}" for i in range(9)],
                   "facets": [list(c) for c in combinations(
@@ -127,6 +133,9 @@ RUNS = {
     "uniform-apex": ["uniform", "--n", "9", "--r", "6", "--lift", "apex"],
     # U(8,4)'s nonfaces overlap, so the disjoint lift is a usage error
     "uniform-disjoint": ["uniform", "--n", "8", "--r", "4", "--lift", "disjoint"],
+    # one vertex past the uniform builder's limit
+    "guard-uniform-vertices": ["uniform", "--n", "21", "--r", "2"],
+    "guard-cyclotomic-index": ["cyclo-poly", "--n", "1000001"],
     "lift-apex-free-vertex": ["lift", "lonely.json", "--mode", "apex"],
     "lift-disjoint": ["lift", "square.json", "--mode", "disjoint"],
     "lift-disjoint-octahedron": ["lift", "octahedron.json", "--mode", "disjoint"],
@@ -189,6 +198,9 @@ RUNS = {
     # no assignment and 36 nonfaces: the direct route sums chi_c by live
     # state, so every sub-result has a verdict
     "logconcavity-nonface-guard": ["logconcavity", "u9-6.json"],
+    # the scan guard refuses the assignment, so chi_c is not applicable
+    "logconcavity-alpha-guard": ["logconcavity", "u7-4-apex.json", "--alpha",
+                                 "u7-4-apex-alpha-not-apex.json"],
 }
 
 DIGESTS = {
@@ -236,12 +248,16 @@ DIGESTS = {
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
+    "guard-cyclotomic-index":
+        "40df66f4d4804d36a4651c761a68960694fd1e1b04e84eaa5e01273507e1a11f",
     "guard-matrix-size":
         "f97d2da3ca5ab5b43bae77585a299e1964d2eaf18cc34244bb4c9d3e14f89e63",
     "guard-model-size":
         "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
     "guard-monomial-degree":
         "1bb94a6f329e73f79d709bf93eea4eeba22bca35035cbcca8d1fc9f7de211f0a",
+    "guard-uniform-vertices":
+        "55c23d66bd7d971bdeeaf7f6a3a7836b0c50939d67d0eb4b3c8d6d5f8b81e3ee",
     "guard-vertices-apex-lift":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-disjoint-lift":
@@ -274,6 +290,8 @@ DIGESTS = {
         "c3e2ca7c6ad5ef825a386ed38fdeebe875fc3a066b78647bc65caf52e68b9f2b",
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
+    "logconcavity-alpha-guard":
+        "b9518be51fb8fd09ac479b278c14d401e6866438ee4e0085f63463377b663672",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
     "logconcavity-nonface-guard":
