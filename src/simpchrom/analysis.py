@@ -17,7 +17,8 @@ from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
 from .polynomials import (IntPolynomial, is_log_concave, is_signed_palindrome,
                           largest_log_concave_suffix, reciprocal, substitute_shift)
-from .report import CheckReport, GuardError, NOT_APPLICABLE, PASS, report
+from .report import (CheckReport, GuardError, NOT_APPLICABLE, PASS, check_limit,
+                     report)
 
 UNIFORM_VERTEX_LIMIT = 20
 _ANTIPODAL_PAIRS = (("a", "c"), ("b", "d"), ("e", "f"))
@@ -29,9 +30,9 @@ def uniform_matroid_complex(n: int, r: int) -> SimplicialComplex:
     Faces are all subsets of size at most r; minimal nonfaces are the
     (r+1)-subsets.  Labels are zero-padded so lexicographic order is numeric.
     """
-    if not 1 <= r <= n <= UNIFORM_VERTEX_LIMIT:
-        raise ValueError(f"need 1 <= r <= n <= {UNIFORM_VERTEX_LIMIT}, "
-                         f"got n = {n}, r = {r}")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got n = {n}, r = {r}")
+    check_limit("uniform_vertices", n, UNIFORM_VERTEX_LIMIT, "vertices of U(n, r)")
     labels = [f"{i:02d}" for i in range(1, n + 1)]
     return SimplicialComplex.from_facets(
         labels, [combo for combo in combinations(labels, r)])
@@ -44,7 +45,8 @@ def octahedron_boundary() -> SimplicialComplex:
 
 def _chromatic_if_possible(S, assign):
     """chi_c through the reversed-numerator identity when an assignment is
-    given (and valid), else directly, or None and the direct guard's message.
+    given (and valid), else directly; or None and the reason, which is a
+    guard's own message when a guard refused the route.
 
     An assignment whose sigmas are not the minimal nonfaces of S is a
     ValueError: its identity would describe another complex."""
@@ -52,8 +54,8 @@ def _chromatic_if_possible(S, assign):
         require_matching_sigmas(S, assign)
         try:  # the apex shape passes the invariant at any size, unscanned
             valid = is_apex_assignment(assign) or check_target_invariant(assign).passed
-        except GuardError:
-            valid = False
+        except GuardError as exc:
+            return None, str(exc)
         if not valid:
             return None, "assignment fails the target invariant"
         T = auxiliary_complex(assign)

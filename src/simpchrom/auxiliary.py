@@ -30,7 +30,7 @@ from .complexes import (NonfaceFamily, SimplicialComplex, _bits,
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
-from .report import CheckReport, GuardError, NOT_APPLICABLE, report
+from .report import CheckReport, NOT_APPLICABLE, check_limit, report
 
 LITERAL = "literal"
 STRICT = "strict"
@@ -86,9 +86,7 @@ def _bitmasks(*families) -> list[list[int]]:
 def _check_scan_size(r: int) -> None:
     """GuardError before any mask is built when r pairs are too many for
     the walker's 2^r subsets."""
-    if r > SUBSET_SCAN_LIMIT:
-        raise GuardError("assignment_size",
-                         f"{r} pairs exceed the {SUBSET_SCAN_LIMIT} scan limit")
+    check_limit("assignment_size", r, SUBSET_SCAN_LIMIT, "pairs to scan")
 
 
 def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
@@ -278,9 +276,9 @@ def search_alpha(family: NonfaceFamily) -> AlphaAssignment | None:
     def fails(idx, sig, alf, comps):
         nonlocal nodes
         nodes += 1
-        if nodes > SEARCH_NODE_LIMIT:
-            raise GuardError("search_nodes", f"alpha search visited {nodes} "
-                             f"subsets, past the {SEARCH_NODE_LIMIT} node limit")
+        if nodes > SEARCH_NODE_LIMIT:  # one comparison per subset walked
+            check_limit("search_nodes", nodes, SEARCH_NODE_LIMIT,
+                        "subsets walked by the alpha search")
         return sig.bit_count() - len(comps) != alf.bit_count()
 
     def place(i):

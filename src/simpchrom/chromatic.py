@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .complexes import (SimplicialComplex, _antichain_max, _bits,
                         _later_unions, _masks, _reindex, fresh_label)
 from .polynomials import IntPolynomial
-from .report import CheckReport, GuardError, check_live_states, report
+from .report import CheckReport, check_limit, check_live_states, report
 
 MODEL_LIMIT = 10 ** 8
 GRAPH_VERTEX_LIMIT = 12
@@ -141,8 +141,8 @@ def finite_model_count(S: SimplicialComplex, q: int) -> int:
     if q < 0:
         raise ValueError("q must be nonnegative")
     n = S.n
-    if q ** n > MODEL_LIMIT:
-        raise GuardError("model_size", f"q^n = {q}^{n} exceeds {MODEL_LIMIT}")
+    check_limit("model_size", q ** n, MODEL_LIMIT, f"tuples in {{1..{q}}}^{n}",
+                "chi_c evaluated at q is the same count")
     rests = [[] for _ in range(n)]  # each nonface minus its highest vertex
     last = 0  # first vertex of the free tail
     for g in S.minimal_nonface_masks:
@@ -180,10 +180,9 @@ def complex_of_graph(G: Graph) -> SimplicialComplex:
 
 def graph_chromatic(G: Graph) -> IntPolynomial:
     """Classical chromatic polynomial by deletion-contraction."""
-    if len(G.vertices) > GRAPH_VERTEX_LIMIT:
-        raise GuardError("graph_vertices",
-                         f"{len(G.vertices)} vertices exceed the "
-                         f"{GRAPH_VERTEX_LIMIT} recursion limit")
+    check_limit("graph_vertices", len(G.vertices), GRAPH_VERTEX_LIMIT,
+                "vertices to delete and contract",
+                "chi_c of complex_of_graph(G) is the same polynomial")
     t = IntPolynomial((0, 1))
 
     def rec(nverts, edges):

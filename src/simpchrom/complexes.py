@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .report import GuardError
+from .report import check_limit
 
 VERTEX_LIMIT = 25
 
@@ -96,9 +96,7 @@ def _reindex(old, new):
 
 def _check_vertex_count(n: int) -> None:
     """Face enumeration and dualization walk subsets of the vertex set."""
-    if n > VERTEX_LIMIT:
-        raise GuardError("vertex_count",
-                         f"{n} vertices exceed the {VERTEX_LIMIT} limit")
+    check_limit("vertex_count", n, VERTEX_LIMIT, "vertices")
 
 
 def _antichain_max(masks) -> list[int]:
@@ -132,8 +130,6 @@ def _downward_closure(facet_masks) -> set[int]:
             b = mm & -mm
             stack.append(m & ~b)
             mm ^= b
-    if not faces:
-        faces.add(0)
     return faces
 
 

@@ -22,7 +22,7 @@ from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
 from .homology import boundary_matrix, reduced_homology, smith_normal_form
 from .polynomials import IntPolynomial, reciprocal
-from .report import CheckReport, GuardError, report
+from .report import CheckReport, check_limit, report
 
 CYCLOTOMIC_LIMIT = 10 ** 6
 
@@ -56,8 +56,7 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > CYCLOTOMIC_LIMIT:
-        raise GuardError("cyclotomic_index", f"n = {n} exceeds {CYCLOTOMIC_LIMIT}")
+    check_limit("cyclotomic_index", n, CYCLOTOMIC_LIMIT, "roots of x^n - 1")
     primes = list(_prime_factors(n))
     numerator = denominator = IntPolynomial.one()
     for size in range(len(primes) + 1):

@@ -15,7 +15,7 @@ from math import comb
 
 from .complexes import NonfaceFamily, SimplicialComplex, _later_unions, _masks
 from .polynomials import IntPolynomial
-from .report import GuardError, check_live_states
+from .report import check_limit, check_live_states
 
 DEGREE_LIMIT = 12
 
@@ -84,14 +84,7 @@ def h_from_f(f, d: int) -> tuple[int, ...]:
 
 
 def h_vector(S: SimplicialComplex) -> HVector:
-    f = S.f_vector()
-    h = h_from_f(f, S.dimension + 1)
-    if S.facet_masks != (0,):
-        if h[0] != 1:
-            raise AssertionError(f"h_0 = {h[0]} for a nonempty complex")
-        if sum(h) != f[-1]:
-            raise AssertionError("h-vector sum does not match the top face count")
-    return HVector(h)
+    return HVector(h_from_f(S.f_vector(), S.dimension + 1))
 
 
 def numerator_from_h(S: SimplicialComplex) -> IntPolynomial:
@@ -110,8 +103,7 @@ def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if m > DEGREE_LIMIT:
-        raise GuardError("monomial_degree", f"degree {m} exceeds {DEGREE_LIMIT}")
+    check_limit("monomial_degree", m, DEGREE_LIMIT, "factors per monomial")
     if m == 0:
         return 1
     return sum(comb(m - 1, k - 1)
@@ -122,8 +114,8 @@ def series_coefficients(S: SimplicialComplex, upto: int) -> list[int]:
     """Coefficients 0..upto of K(t)/(1-t)^n expanded as a power series."""
     if upto < 0:
         raise ValueError("degree must be nonnegative")
-    if upto > DEGREE_LIMIT:  # the oracle it is checked against stops there
-        raise GuardError("monomial_degree", f"degree {upto} exceeds {DEGREE_LIMIT}")
+    # the monomial oracle it is checked against stops there
+    check_limit("monomial_degree", upto, DEGREE_LIMIT, "factors per monomial")
     k = numerator_by_inclusion_exclusion(S.minimal_nonfaces())
     n = S.n
 

@@ -16,7 +16,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .complexes import SimplicialComplex, _bits
-from .report import GuardError
+from .report import check_limit
 
 FACE_COUNT_LIMIT = 5000
 SNF_DIMENSION_LIMIT = 500
@@ -71,17 +71,15 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
 
 def _check_boundary_size(nrows: int, ncols: int) -> None:
     """Both guards of a boundary matrix, from its face counts alone."""
-    if nrows > FACE_COUNT_LIMIT or ncols > FACE_COUNT_LIMIT:
-        raise GuardError("face_count",
-                         f"face counts exceed the {FACE_COUNT_LIMIT} limit")
+    check_limit("face_count", max(nrows, ncols), FACE_COUNT_LIMIT,
+                "faces of one size")
     _check_snf_size(nrows, ncols)
 
 
 def _check_snf_size(nrows: int, ncols: int) -> None:
     """Bounds the dense matrix that ``boundary_matrix`` allocates."""
-    if min(nrows, ncols) > SNF_DIMENSION_LIMIT:
-        raise GuardError("matrix_size",
-                         f"matrix exceeds the {SNF_DIMENSION_LIMIT} SNF limit")
+    check_limit("matrix_size", min(nrows, ncols), SNF_DIMENSION_LIMIT,
+                "lines on the short side of an SNF matrix")
 
 
 def smith_normal_form(M: IntegerMatrix) -> tuple[int, ...]:

@@ -13,12 +13,24 @@ class GuardError(Exception):
     """A size or search-space guard rejected the computation.
 
     ``limit`` names the guard that fired so callers (and the CLI exit-code
-    logic) can distinguish guard rejections from bad input.
+    logic) can distinguish guard rejections from bad input; ``measured`` is
+    the size it measured and ``bound`` the limit that size exceeds.
     """
 
-    def __init__(self, limit: str, message: str):
+    def __init__(self, limit: str, measured: int, bound: int, message: str):
         super().__init__(message)
-        self.limit = limit
+        self.limit, self.measured, self.bound = limit, measured, bound
+
+
+def check_limit(name: str, measured: int, bound: int, what: str,
+                route: str | None = None) -> None:
+    """GuardError ``name`` when ``measured`` exceeds ``bound``, saying
+    "<measured> <what> exceed the <bound> limit" and then "; <route>" when
+    a cheaper route exists."""
+    if measured > bound:
+        message = f"{measured} {what} exceed the {bound} limit"
+        raise GuardError(name, measured, bound,
+                         f"{message}; {route}" if route else message)
 
 
 # Live states a state-summed inclusion-exclusion may carry from one
@@ -34,15 +46,11 @@ STATE_WORK_LIMIT = 25 * STATE_LIMIT
 def check_live_states(live: int, summed: int, route: str) -> None:
     """GuardError unless ``live`` states fit under STATE_LIMIT and the
     ``summed`` states of the walk so far under STATE_WORK_LIMIT; ``route``
-    names the cheaper route to take instead."""
-    if live > STATE_LIMIT:
-        raise GuardError("live_states",
-                         f"{live} live states exceed the {STATE_LIMIT} limit; "
-                         f"{route}")
-    if summed > STATE_WORK_LIMIT:
-        raise GuardError("state_work",
-                         f"{summed} states summed exceed the {STATE_WORK_LIMIT} "
-                         f"limit; {route}")
+    names the cheaper route to take instead.  Called once per generator, so
+    the common case costs two comparisons."""
+    if live > STATE_LIMIT or summed > STATE_WORK_LIMIT:
+        check_limit("live_states", live, STATE_LIMIT, "live states", route)
+        check_limit("state_work", summed, STATE_WORK_LIMIT, "states summed", route)
 
 
 @dataclass(frozen=True)

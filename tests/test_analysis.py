@@ -14,6 +14,7 @@ from simpchrom.chromatic import chromatic_polynomial
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.hilbert import h_vector
 from simpchrom.polynomials import IntPolynomial, substitute_shift
+from simpchrom.report import GuardError
 
 from oracles import points_complex
 
@@ -29,8 +30,14 @@ def test_uniform_matroid_fixtures():
     assert all(len(g) == 7 for g in u96.minimal_nonfaces().generators)
     full = uniform_matroid_complex(3, 3)
     assert full.facets == (("01", "02", "03"),)
-    with pytest.raises(ValueError):
+    for n, r in ((3, 4), (3, 0)):
+        with pytest.raises(ValueError, match=f"need 1 <= r <= n, got n = {n}"):
+            uniform_matroid_complex(n, r)
+    with pytest.raises(GuardError) as exc:
         uniform_matroid_complex(21, 2)
+    err = exc.value
+    assert (err.limit, err.measured, err.bound, str(err)) == (
+        "uniform_vertices", 21, 20, "21 vertices of U(n, r) exceed the 20 limit")
 
 
 def test_uniform_matroid_apex_lift_nonfaces():
@@ -69,16 +76,22 @@ def test_log_concavity_octahedron():
     assert rep.details["sub_results"]["h_vector"]["verdict"] == "PASS"
 
 
+def _chromatic_not_applicable(rep, reason):
+    """Both chromatic scans NOT_APPLICABLE, with ``reason`` as the route."""
+    subs = rep.details["sub_results"]
+    assert rep.details["chromatic_route"] == reason
+    for name in ("chromatic", "chromatic_translate"):
+        assert subs[name]["verdict"] == "NOT_APPLICABLE"
+        assert subs[name]["details"]["reason"] == reason
+
+
 def test_a_guard_on_the_direct_route_is_not_applicable(monkeypatch):
     # the chi_c sum holds two live states after the first nonface
     monkeypatch.setattr(report, "STATE_LIMIT", 1)
     rep = log_concavity_report(octahedron_boundary())
+    _chromatic_not_applicable(rep, "2 live states exceed the 1 limit; "
+                                   "use the auxiliary-complex identity instead")
     subs = rep.details["sub_results"]
-    reason = rep.details["chromatic_route"]
-    assert reason.startswith("2 live states exceed the 1 limit")
-    for name in ("chromatic", "chromatic_translate"):
-        assert subs[name]["verdict"] == "NOT_APPLICABLE"
-        assert subs[name]["details"]["reason"] == reason
     assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"
     assert rep.passed
 
@@ -86,13 +99,31 @@ def test_a_guard_on_the_direct_route_is_not_applicable(monkeypatch):
 def test_state_work_on_the_direct_route_is_not_applicable(monkeypatch):
     monkeypatch.setattr(report, "STATE_WORK_LIMIT", 10_000)
     rep = log_concavity_report(uniform_matroid_complex(12, 6))
+    _chromatic_not_applicable(rep, "10207 states summed exceed the 10000 limit; "
+                                   "use the auxiliary-complex identity instead")
     subs = rep.details["sub_results"]
-    reason = rep.details["chromatic_route"]
-    assert reason.startswith("10207 states summed exceed the 10000 limit")
-    for name in ("chromatic", "chromatic_translate"):
-        assert subs[name]["verdict"] == "NOT_APPLICABLE"
-        assert subs[name]["details"]["reason"] == reason
     assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"
+
+
+def test_a_refused_assignment_gives_the_guard_message():
+    # the apex lift of U(7,4) has 21 pairs; with one alpha that keeps q and
+    # drops a v it is no longer apex-shaped, so only the scan could decide it
+    s, assign = lift_with_apex(uniform_matroid_complex(7, 4))
+    (sigma, alpha), *rest = assign.pairs
+    changed = AlphaAssignment(((sigma, sigma - {max(alpha)}), *rest))
+    rep = log_concavity_report(s, changed)
+    _chromatic_not_applicable(rep, "21 pairs to scan exceed the 20 limit")
+
+
+def test_an_assignment_failing_the_invariant_is_not_applicable():
+    # three isolated points: the three edges each keep one vertex, so their
+    # alphas cover three vertices where the invariant allows two
+    s = SC.from_minimal_nonfaces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    assign = AlphaAssignment(((frozenset("ab"), frozenset("a")),
+                              (frozenset("bc"), frozenset("b")),
+                              (frozenset("ac"), frozenset("c"))))
+    rep = log_concavity_report(s, assign)
+    _chromatic_not_applicable(rep, "assignment fails the target invariant")
 
 
 def test_log_concavity_through_the_identity_route():

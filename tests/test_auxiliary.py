@@ -62,6 +62,8 @@ def test_intersection_property_disjoint_pairs():
     assert check_intersection_property(assign, LITERAL).passed
     assert check_intersection_property(assign, STRICT).passed
     assert check_target_invariant(assign).passed
+    with pytest.raises(ValueError, match="^unknown mode 'loose'$"):
+        check_intersection_property(assign, "loose")
 
 
 def test_intersection_property_common_point_family():
@@ -414,9 +416,11 @@ def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatc
     monkeypatch.setattr(auxiliary, "_bitmasks", counting_masks)
     monkeypatch.setattr(auxiliary, "SUBSET_SCAN_LIMIT", 3)
     pairs = tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(4))
-    with pytest.raises(GuardError, match="4 pairs exceed the 3 scan limit") as exc:
+    with pytest.raises(GuardError) as exc:
         check(AlphaAssignment(pairs))
-    assert exc.value.limit == "assignment_size"
+    err = exc.value
+    assert (err.limit, err.measured, err.bound, str(err)) == (
+        "assignment_size", 4, 3, "4 pairs to scan exceed the 3 limit")
     assert (visits, states, masks) == ([], [], [])
     assert check(AlphaAssignment(pairs[:3])).passed
     if check is check_target_invariant:
@@ -516,9 +520,12 @@ def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
     assert [sorted(a) for a in found.alphas] == [
         [f"w{i:02d}", f"x{i:02d}", f"y{i:02d}"] for i in range(11)]
     monkeypatch.setattr(auxiliary, "SEARCH_NODE_LIMIT", 100)
-    with pytest.raises(GuardError, match="visited 101 subsets.*100 node limit") as exc:
+    with pytest.raises(GuardError) as exc:
         search_alpha(family)
-    assert exc.value.limit == "search_nodes"
+    err = exc.value
+    assert (err.limit, err.measured, err.bound, str(err)) == (
+        "search_nodes", 101, 100,
+        "101 subsets walked by the alpha search exceed the 100 limit")
 
 
 # -- brute-force references: every subset, by size then lexicographically --

@@ -263,6 +263,12 @@ def test_tidied_contraction_requires_minimal_nonface():
         tidied_contraction(square_complex(), ("a", "b"))
 
 
+@pytest.mark.parametrize("check", [tidied_contraction, verify_addition_contraction])
+def test_an_unknown_contraction_convention_is_rejected(check):
+    with pytest.raises(ValueError, match="^unknown contraction convention 'glue'$"):
+        check(square_complex(), ("a", "c"), "glue")
+
+
 def test_addition_contraction_rejects_sigma_before_any_sum(monkeypatch):
     calls = []
     monkeypatch.setattr(chromatic, "chromatic_polynomial", calls.append)

@@ -40,6 +40,8 @@ def test_from_facets_fixtures():
 def test_from_facets_errors():
     with pytest.raises(ValueError, match="duplicate"):
         SC.from_facets(["a", "a"], [("a",)])
+    with pytest.raises(ValueError, match="^labels must be strings, got 1$"):
+        SC.from_facets(["a", 1], [("a",)])
     with pytest.raises(ValueError, match="unknown label"):
         SC.from_facets("ab", [("a", "c")])
     with pytest.raises(ValueError, match="in no face"):

@@ -55,6 +55,15 @@ def test_spec_validation():
         CyclotomicSpec((4, 5))
     with pytest.raises(ValueError, match="distinct"):
         CyclotomicSpec((3, 3))
+    with pytest.raises(ValueError, match="^at least one prime required$"):
+        CyclotomicSpec(())
+    with pytest.raises(ValueError, match="^unknown labeling 'two'$"):
+        CyclotomicSpec((3, 5), "two")
+    with pytest.raises(ValueError, match="^at least two prime groups required$"):
+        build_residue_subcomplex(CyclotomicSpec((5,)), {1})
+    for j in (-1, 9):  # phi(3 * 5) = 8
+        with pytest.raises(ValueError, match=f"^j = {j} outside 0..8$"):
+            check_cyclotomic_homology(CyclotomicSpec((3, 5)), j)
     spec = CyclotomicSpec((3, 2))
     assert spec.primes == (2, 3) and spec.n == 6 and spec.phi == 2
 

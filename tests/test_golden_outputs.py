@@ -249,15 +249,15 @@ DIGESTS = {
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
     "guard-cyclotomic-index":
-        "40df66f4d4804d36a4651c761a68960694fd1e1b04e84eaa5e01273507e1a11f",
+        "2b17b8396364bdaa142031570ff4946e4232f83bb0fd8d68013faa93062cf760",
     "guard-matrix-size":
-        "f97d2da3ca5ab5b43bae77585a299e1964d2eaf18cc34244bb4c9d3e14f89e63",
+        "cd4aba1edf7b0545d192aa6db261fd2257e5fa9afce2b02818ff5352efb14f71",
     "guard-model-size":
-        "f06c702294cf7224bb159279ea56f89dc8d7e0641b7b17e5e5a2bd4d39cb35fa",
+        "e73a906c2a28c905154db68fe91d6d66bead6b19bfb03194628866c986fa9d6a",
     "guard-monomial-degree":
-        "1bb94a6f329e73f79d709bf93eea4eeba22bca35035cbcca8d1fc9f7de211f0a",
+        "06c7ea1e7abdf2e9b1a61f115d959d73e8bc90c0b825786d1bac81dfb29145fa",
     "guard-uniform-vertices":
-        "55c23d66bd7d971bdeeaf7f6a3a7836b0c50939d67d0eb4b3c8d6d5f8b81e3ee",
+        "bbf1412b73f24cad8b6c590e8db4048efafdd5b7b531efb0acb05833c76ab8df",
     "guard-vertices-apex-lift":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-disjoint-lift":
@@ -273,7 +273,7 @@ DIGESTS = {
     "hilbert-expand":
         "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
     "hilbert-expand-degree-limit":
-        "af4338f164e79464c7c7fad2ef8773ba4550750d96a27a86354c24c9c31f1eb8",
+        "af5564bc8c4f70a774a7d8000494deba70f5be54b8b087028fdce93170a25945",
     "hilbert-u9-6":
         "38d7beb90785f6ccade26552f4d08a29d26ffb8914202b30813efbd59027fac7",
     "homology":
@@ -291,7 +291,7 @@ DIGESTS = {
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-alpha-guard":
-        "b9518be51fb8fd09ac479b278c14d401e6866438ee4e0085f63463377b663672",
+        "3948a62a24d8c40051e00b05e43a25949afb66d09f60cbd06e92c2ffb9ce1049",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
     "logconcavity-nonface-guard":

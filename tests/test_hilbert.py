@@ -84,8 +84,11 @@ def test_standard_monomial_count_fixtures():
     assert standard_monomial_count(tri, 2) == 6
     assert standard_monomial_count(tri, 0) == 1
     for count in (standard_monomial_count, series_coefficients):
-        with pytest.raises(GuardError, match="degree 13 exceeds 12"):
+        with pytest.raises(GuardError) as exc:
             count(tri, 13)
+        err = exc.value
+        assert (err.limit, err.measured, err.bound, str(err)) == (
+            "monomial_degree", 13, 12, "13 factors per monomial exceed the 12 limit")
     for count in (standard_monomial_count, series_coefficients):
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             count(tri, -1)
