@@ -177,6 +177,10 @@ RUNS = {
     "error-repeated-vertex": ["chromatic", "repeated-vertex.json"],
     "guard-vertices-facets": ["chromatic", "wide-facets.json"],
     "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
+    # the h-vector and the boundary matrices need the facets of the
+    # 26-vertex input, so the vertex guard refuses them
+    "guard-vertices-nonfaces-hilbert": ["hilbert", "wide-nonfaces.json"],
+    "guard-vertices-nonfaces-homology": ["homology", "wide-nonfaces.json"],
     "guard-matrix-size": ["homology", "u16-4.json"],
     "guard-vertices-apex-lift": ["lift", "wide-lift.json", "--mode", "apex"],
     "guard-vertices-disjoint-lift": ["lift", "wide-lift.json", "--mode",
@@ -265,6 +269,10 @@ DIGESTS = {
     "guard-vertices-facets":
         "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
     "guard-vertices-nonfaces":
+        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
+    "guard-vertices-nonfaces-hilbert":
+        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
+    "guard-vertices-nonfaces-homology":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "hilb-window-apex-lift":
         "ae771c6d8997572d0ef204a80ca22f73c55fe7f25bbb7866b1f98900edb8c602",
