@@ -205,6 +205,16 @@ def graph_chromatic(G: Graph) -> IntPolynomial:
     return rec(len(G.vertices), edges)
 
 
+def _nonface_mask(S: SimplicialComplex, sigma, convention: str) -> int:
+    """The mask of sigma, once the convention and sigma are checked."""
+    if convention not in (REMOVE_ONLY, MERGE_VERTEX):
+        raise ValueError(f"unknown contraction convention {convention!r}")
+    sig, = _masks(S.vertices, [sigma], "nonface")
+    if sig not in S.minimal_nonface_masks:
+        raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
+    return sig
+
+
 def tidied_contraction(S: SimplicialComplex, sigma,
                        convention: str = MERGE_VERTEX) -> SimplicialComplex:
     """Contract a minimal nonface.
@@ -214,23 +224,35 @@ def tidied_contraction(S: SimplicialComplex, sigma,
     face relations mimic graph contraction: tau | {w} is a face iff
     tau | {x} was a face for every x in sigma.
     """
-    sig, = _masks(S.vertices, [sigma], "nonface")
-    if sig not in S.minimal_nonface_masks:
-        raise ValueError(f"{sorted(sigma)} is not a minimal nonface")
-    if convention not in (REMOVE_ONLY, MERGE_VERTEX):
-        raise ValueError(f"unknown contraction convention {convention!r}")
+    return _contraction(S, _nonface_mask(S, sigma, convention), convention)
+
+
+def _contraction(S: SimplicialComplex, sig: int, convention: str):
+    """The contraction from the minimal nonfaces of S: those that miss sig,
+    and for MERGE_VERTEX the minimal images nu - x + w of those that meet
+    sig in x alone, since tau + w holds a nonface iff some tau + x does."""
     labels = [v for i, v in enumerate(S.vertices) if not sig >> i & 1]
     if convention == MERGE_VERTEX:
         w = fresh_label(set(S.vertices), "w")
         labels = sorted(labels + [w])
     move = _reindex(S.vertices, labels)
-    kept = [m for m in S.face_masks if not m & sig]
-    faces = [move(m) for m in kept]
+    nonfaces = [move(m) for m in S.minimal_nonface_masks if not m & sig]
     if convention == MERGE_VERTEX:
         wbit = 1 << labels.index(w)
-        faces += [move(m) | wbit for m in kept
-                  if all(m | (1 << x) in S.face_masks for x in _bits(sig))]
-    return SimplicialComplex(labels, _antichain_max(faces))
+        full = (1 << len(labels)) - 1  # minimal: maximal among complements
+        nonfaces += [full ^ m for m in _antichain_max(
+            full ^ (move(m) | wbit) for m in S.minimal_nonface_masks
+            if (m & sig).bit_count() == 1)]
+    return SimplicialComplex(labels, None, nonface_masks=nonfaces)
+
+
+def _with_face(S: SimplicialComplex, sig: int) -> SimplicialComplex:
+    """S with its minimal nonface sig made a face: the other minimal
+    nonfaces, and sig + v for each v outside sig with no other inside."""
+    others = [m for m in S.minimal_nonface_masks if m != sig]
+    grown = (sig | 1 << v for v in _bits((1 << S.n) - 1 & ~sig))
+    return SimplicialComplex(S.vertices, None, S.relaxed, others + [
+        g for g in grown if not any(m & g == m for m in others)])
 
 
 def verify_addition_contraction(S: SimplicialComplex, sigma,
@@ -242,13 +264,11 @@ def verify_addition_contraction(S: SimplicialComplex, sigma,
     carries the residual of both conventions; the verdict is anchored to the
     requested one (zero residual = PASS).
     """
-    if convention not in (REMOVE_ONLY, MERGE_VERTEX):
-        raise ValueError(f"unknown contraction convention {convention!r}")
-    # the contractions reject a sigma that is not a minimal nonface of S
-    contracted = {conv: tidied_contraction(S, sigma, conv)
+    sig = _nonface_mask(S, sigma, convention)
+    contracted = {conv: _contraction(S, sig, conv)
                   for conv in (MERGE_VERTEX, REMOVE_ONLY)}
     base = chromatic_polynomial(S)
-    added = chromatic_polynomial(S.add_face(sigma))
+    added = chromatic_polynomial(_with_face(S, sig))
     residuals = {conv: base - added + chromatic_polynomial(C)
                  for conv, C in contracted.items()}
     ok = residuals[convention].is_zero()

@@ -1,4 +1,4 @@
-"""Finite abstract simplicial complexes stored canonically by facets.
+"""Finite abstract simplicial complexes, by facets or by minimal nonfaces.
 
 Vertices are label strings, sorted lexicographically; faces live as bitmasks
 over that order, bit i standing for the i-th label.  Only this module maps
@@ -6,8 +6,10 @@ labels to bits: one encoder, ``_masks``, turns label sets into masks (an
 assignment's over the sorted union of its own labels), one unchecked
 constructor builds a complex from masks, and one re-indexer, ``_reindex``,
 moves masks onto another sorted label set; other modules only read and
-combine masks.  Conversion between the facet and minimal nonface
-descriptions (the squarefree-ideal generators) is exact both ways.
+combine masks.  A complex keeps the description it was given, facets or
+minimal nonfaces (the squarefree-ideal generators), and derives the other
+exactly on first use, where the vertex guard sits; so work that reads only
+the nonfaces never dualizes.
 
 A complex is "strict" when every vertex is required to be a face; auxiliary
 complexes built from companion-set families may carry formal vertices that
@@ -176,15 +178,16 @@ def _antichain_family(generators) -> NonfaceFamily:
 class SimplicialComplex:
     """Immutable vertex-labeled complex; all equality is on canonical form.
 
-    The constructor is unchecked: ``facet_masks`` is an antichain over the
-    canonical ``vertices``, and ``nonface_masks``, if given, seeds the
-    minimal nonfaces instead of their recovery from the faces."""
+    The constructor is unchecked: ``facet_masks`` and ``nonface_masks`` are
+    antichains over the canonical ``vertices``; one of them may be None, to
+    be derived from the other on first use (equality reads the facets)."""
 
     def __init__(self, vertices, facet_masks, relaxed: bool = False,
                  nonface_masks=None):
         self.vertices = tuple(vertices)
-        self.facet_masks = _sort_masks(facet_masks)
         self.relaxed = bool(relaxed)
+        if facet_masks is not None:
+            self.__dict__["facet_masks"] = _sort_masks(facet_masks)
         if nonface_masks is not None:
             self.__dict__["minimal_nonface_masks"] = _sort_masks(nonface_masks)
 
@@ -216,7 +219,6 @@ class SimplicialComplex:
         Label lists are checked as a ``NonfaceFamily``; a family is taken as is.
         """
         verts = _canonical_labels(labels)
-        _check_vertex_count(len(verts))
         family = generators if isinstance(generators, NonfaceFamily) \
             else NonfaceFamily(tuple(tuple(g) for g in generators))
         gen_masks = _masks(verts, family.generators, "generator")
@@ -225,8 +227,7 @@ class SimplicialComplex:
                 if m.bit_count() == 1:
                     raise ValueError(
                         f"singleton generator {list(g)} leaves vertex {g[0]!r} in no face")
-        return cls(verts, _maximal_generator_free(len(verts), gen_masks),
-                   relaxed, gen_masks)
+        return cls(verts, None, relaxed, gen_masks)
 
     # -- basic views -------------------------------------------------------
 
@@ -236,6 +237,12 @@ class SimplicialComplex:
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in _bits(mask))
+
+    @cached_property
+    def facet_masks(self) -> tuple[int, ...]:
+        _check_vertex_count(self.n)
+        return _sort_masks(_maximal_generator_free(self.n,
+                                                   self.minimal_nonface_masks))
 
     @property
     def facets(self) -> tuple[tuple[str, ...], ...]:
@@ -305,15 +312,6 @@ class SimplicialComplex:
     def minimal_nonfaces(self) -> NonfaceFamily:
         return _antichain_family(self.labels_of(m)
                                  for m in self.minimal_nonface_masks)
-
-    # -- derived complexes ---------------------------------------------------
-
-    def add_face(self, labels) -> "SimplicialComplex":
-        """Complex with one additional face (plus its subsets, vacuously)."""
-        m, = _masks(self.vertices, [labels], "face")
-        return SimplicialComplex(
-            self.vertices, _antichain_max(list(self.facet_masks) + [m]),
-            self.relaxed)
 
 
 def _canonical_labels(labels) -> tuple[str, ...]:

@@ -52,6 +52,12 @@ def contraction(S: SimplicialComplex, sigma, w=None) -> SimplicialComplex:
     return SimplicialComplex.from_facets(labels, kept, relaxed=True)
 
 
+def with_face(S: SimplicialComplex, sigma) -> SimplicialComplex:
+    """S with the label set sigma added as a face, with all its subsets."""
+    return SimplicialComplex.from_facets(S.vertices, list(S.facets) + [sigma],
+                                         relaxed=S.relaxed)
+
+
 def f_from_h(h, d: int) -> tuple[int, ...]:
     """Inverse h-to-f transform: f_{j-1} = sum_i C(d-i, j-i) h_i."""
     h = tuple(h)

@@ -1,16 +1,19 @@
 """Matroid fixtures, log-concavity reports, and palindromic symmetry."""
 
+import json
 import random
+from functools import cached_property
 
 import pytest
 
-from simpchrom import report, sweep
+from simpchrom import complexes, report, sweep
 from simpchrom.analysis import (dehn_sommerville_check, log_concavity_report,
                                 octahedron_boundary, reciprocity_report,
                                 uniform_matroid_complex)
 from simpchrom.auxiliary import (AlphaAssignment, lift_disjoint, lift_with_apex,
                                  verify_main_theorem)
-from simpchrom.chromatic import chromatic_polynomial
+from simpchrom.chromatic import chromatic_polynomial, verify_addition_contraction
+from simpchrom.cli import main
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.hilbert import h_vector
 from simpchrom.polynomials import IntPolynomial, substitute_shift
@@ -234,23 +237,35 @@ def test_a_lift_and_its_report_check_only_the_alphas(build, antichain_checks):
     assert {frozenset(a) for a in antichain_checks[0]} == set(assign.alphas)
 
 
+def _counted(monkeypatch, name):
+    """The first argument of every call of complexes.<name>."""
+    calls = []
+    work = getattr(complexes, name)
+
+    def counted(first, *rest):
+        calls.append(first)
+        return work(first, *rest)
+
+    monkeypatch.setattr(complexes, name, counted)
+    return calls
+
+
 @pytest.fixture
 def dualizations(monkeypatch):
-    """The vertex labels of every from_minimal_nonfaces call."""
-    calls = []
-    build = SC.from_minimal_nonfaces.__func__
+    """The vertex count of every dualization of nonfaces to facets."""
+    return _counted(monkeypatch, "_maximal_generator_free")
 
-    def counted(cls, labels, generators, relaxed=False):
-        calls.append(labels)
-        return build(cls, labels, generators, relaxed)
 
-    monkeypatch.setattr(SC, "from_minimal_nonfaces", classmethod(counted))
-    return calls
+@pytest.fixture
+def closures(monkeypatch):
+    """The facets of every face closure."""
+    return _counted(monkeypatch, "_downward_closure")
 
 
 @pytest.mark.parametrize("lift", [lift_disjoint, lift_with_apex])
 def test_a_lift_builds_s_without_dualizing(lift, dualizations):
     T = octahedron_boundary()
+    T.facet_masks  # the lift reads them; T given by its nonfaces dualizes here
     dualizations.clear()
     lift(T)
     assert dualizations == []
@@ -270,15 +285,53 @@ def test_a_reciprocity_report_builds_its_auxiliary_complex_once(
     assert antichain_checks == [] and dualizations == []
     assert reciprocity_report(S, AlphaAssignment(assign.pairs)) == rep
     assert len(antichain_checks) == 1
-    assert dualizations == [list("abcdef")]
+    assert dualizations == [6]
+
+
+def test_nonface_commands_neither_dualize_nor_close_faces(
+        dualizations, closures, tmp_path, monkeypatch, capsys):
+    # the two nonfaces meet, so verify-cc also checks its identity
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"vertices": list("abcde"), "minimal_nonfaces": [["a", "b", "c"],
+                                                         ["c", "d"]]}))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["chromatic", "s.json"], ["oracle-count", "s.json", "--q", "3"],
+                 ["verify-ac", "s.json", "--nonface", "a,b,c"],
+                 ["verify-ac", "s.json", "--nonface", "c,d",
+                  "--convention", "remove"],
+                 ["verify-cc", "s.json", "--a", "1"]):
+        assert main(argv) == 0, argv
+    assert '"identity_checked": true' in capsys.readouterr().out
+    # 26 random 9-element nonfaces on 25 vertices: the face closure of this
+    # input holds millions of faces
+    rng = random.Random(1)
+    labels = [f"v{i:02d}" for i in range(25)]
+    gens = set()
+    while len(gens) < 26:
+        gens.add(tuple(sorted(rng.sample(labels, 9))))
+    wide = SC.from_minimal_nonfaces(labels, gens)
+    assert verify_addition_contraction(wide, min(gens)).verdict == "FAIL"
+    assert dualizations == [] and closures == []
 
 
 def test_the_sweep_round_trip_checks_no_family(antichain_checks):
     rows = sweep._roundtrip_rows(random.Random(42), 42, 20)
     assert all(row["verdict"] == "PASS" for row in rows)
     # one check per sampled complex, whose nonfaces arrive as label lists;
-    # the round trip through minimal_nonfaces() adds none
+    # the round trip through the facets adds none
     assert len(antichain_checks) == 20
+
+
+def test_a_broken_nonface_recovery_fails_the_sweep_round_trip(monkeypatch):
+    recover = SC.minimal_nonface_masks.func
+    broken = cached_property(lambda s: recover(s)[1:])
+    broken.__set_name__(SC, "minimal_nonface_masks")
+    monkeypatch.setattr(SC, "minimal_nonface_masks", broken)
+    rows = sweep._roundtrip_rows(random.Random(42), 42, 20)
+    # only a complex with no nonface has none to drop
+    assert [row["verdict"] for row in rows] == [
+        "FAIL" if row["r"] else "PASS" for row in rows]
+    assert "FAIL" in [row["verdict"] for row in rows]
 
 
 def test_a_repeated_sigma_is_rejected():

@@ -19,7 +19,7 @@ from simpchrom.polynomials import IntPolynomial
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex, random_graph
 
-from oracles import component_count, contraction
+from oracles import component_count, contraction, with_face
 
 P = IntPolynomial
 SC = SimplicialComplex
@@ -233,12 +233,16 @@ def test_tidied_contraction_path():
 
 
 def test_tidied_contraction_matches_the_label_reference():
-    # half the samples rename a to w and b to z, so the merge vertex is w0
-    # and sorts between w and z
-    rng = random.Random(211)
+    # the mask-built contractions and S + sigma against the face-built label
+    # references, on every minimal nonface of 3,000 seeded complexes; half
+    # the samples are rebuilt from their facets with a renamed to w and b to
+    # z, so the merge vertex is w0 and sorts between w and z.  Equality
+    # alone would miss a nonface list that is not an antichain, since its
+    # dualization has the same facets.
+    rng = random.Random(5)
     samples = [SC.from_minimal_nonfaces("avwxz", [("a", "x"), ("v", "z")])]
-    for k in range(200):
-        s = random_complex(rng, n_max=8)
+    for k in range(3000):
+        s = random_complex(rng, n_max=6, r_max=4)
         if k % 2:
             name = {"a": "w", "b": "z"}
             s = SC.from_facets([name.get(v, v) for v in s.vertices],
@@ -247,13 +251,17 @@ def test_tidied_contraction_matches_the_label_reference():
     checked = 0
     for s in samples:
         w = "w0" if "w" in s.vertices else "w"
-        for sigma in s.minimal_nonfaces().generators:
-            assert tidied_contraction(s, sigma, REMOVE_ONLY) == \
-                contraction(s, sigma)
-            assert tidied_contraction(s, sigma, MERGE_VERTEX) == \
-                contraction(s, sigma, w)
+        for sig in s.minimal_nonface_masks:
+            sigma = s.labels_of(sig)
+            for built, reference in (
+                    (tidied_contraction(s, sigma, REMOVE_ONLY), contraction(s, sigma)),
+                    (tidied_contraction(s, sigma, MERGE_VERTEX),
+                     contraction(s, sigma, w)),
+                    (chromatic._with_face(s, sig), with_face(s, sigma))):
+                assert built.minimal_nonface_masks == reference.minimal_nonface_masks
+                assert built == reference
             checked += 1
-    assert checked >= 300
+    assert checked == 4703
     merged = tidied_contraction(samples[0], ("a", "x"))
     assert merged.vertices == ("v", "w", "w0", "z")
 
@@ -295,7 +303,7 @@ def test_addition_contraction_path():
     assert rep.passed
     assert not rep.details["remove_pass"]
     # pieces: (t^3 - 2t^2 + t) - (t^3 - t^2) + (t^2 - t) = 0
-    added = chromatic_polynomial(path_complex().add_face(("1", "2")))
+    added = chromatic_polynomial(with_face(path_complex(), ("1", "2")))
     assert added == P((0, 0, -1, 1))
 
 

@@ -49,8 +49,6 @@ def test_from_facets_errors():
     # a repeated label is rejected, not merged into one bit
     with pytest.raises(ValueError, match=r"repeated vertex in facet \('a', 'a', 'b'\)"):
         SC.from_facets("ab", [("a", "a", "b")])
-    with pytest.raises(ValueError, match="repeated vertex in face"):
-        SC.from_facets("abc", [("a", "b"), ("c",)]).add_face(["a", "c", "c"])
 
 
 def test_from_minimal_nonfaces_fixtures():
@@ -85,10 +83,11 @@ def test_round_trip_on_random_complexes():
     rng = random.Random(101)
     for _ in range(100):
         s = random_complex(rng, n_max=8)
-        gens = s.minimal_nonfaces()
-        back = SC.from_minimal_nonfaces(s.vertices, gens)
+        # s dualizes its seeded nonfaces; back recovers them from the faces
+        back = SC.from_facets(s.vertices, s.facets)
         assert back == s
-        assert back.minimal_nonfaces() == gens
+        assert back.minimal_nonface_masks == s.minimal_nonface_masks
+        assert back.minimal_nonfaces() == s.minimal_nonfaces()
 
 
 def test_minimal_nonfaces_form_antichain():

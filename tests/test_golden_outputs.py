@@ -176,9 +176,10 @@ RUNS = {
     "error-not-antichain": ["chromatic", "not-antichain.json"],
     "error-repeated-vertex": ["chromatic", "repeated-vertex.json"],
     "guard-vertices-facets": ["chromatic", "wide-facets.json"],
-    "guard-vertices-nonfaces": ["chromatic", "wide-nonfaces.json"],
-    # the h-vector and the boundary matrices need the facets of the
-    # 26-vertex input, so the vertex guard refuses them
+    # chi_c reads only the nonfaces, so the 26 vertices pass; the h-vector
+    # and the boundary matrices need the facets, and the vertex guard
+    # refuses them
+    "chromatic-wide-nonfaces": ["chromatic", "wide-nonfaces.json"],
     "guard-vertices-nonfaces-hilbert": ["hilbert", "wide-nonfaces.json"],
     "guard-vertices-nonfaces-homology": ["homology", "wide-nonfaces.json"],
     "guard-matrix-size": ["homology", "u16-4.json"],
@@ -212,6 +213,8 @@ DIGESTS = {
         "45359f2c3f466b4669da6edcc64dc1f90dbb3741272f44789e0fa4504b3344f4",
     "chromatic-k8":
         "744a95e26ad65958d3b6ed3d79b42efb619c1fe75ec04204f56ea43d0952e49f",
+    "chromatic-wide-nonfaces":
+        "d0422dc5eaada9f1e45c46e170f1a01e689e39acf6f766d79a51adbb26b2a91d",
     "cyclcheck-c-2":
         "b717a4f5e9597be9fb738836c0e813484b0516843d64146029df82bddeecd3aa",
     "cyclcheck-c0":
@@ -268,8 +271,6 @@ DIGESTS = {
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-facets":
         "66679624d8f931232e198cfdfc31475126a60244b459e3ea3a7019a5d2a3d0a5",
-    "guard-vertices-nonfaces":
-        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-nonfaces-hilbert":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-nonfaces-homology":

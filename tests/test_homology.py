@@ -78,6 +78,7 @@ def test_boundary_matrices_sort_the_faces_once(monkeypatch):
 
     monkeypatch.setattr(complexes, "_mask_key", counted)
     for s in samples:
+        s.facet_masks  # a complex given by its nonfaces sorts its facets here
         keyed.clear()
         for _ in range(3):
             for k in range(s.dimension + 1):
