@@ -128,7 +128,7 @@ def dehn_sommerville_check(S: SimplicialComplex) -> CheckReport:
 def reciprocity_report(S: SimplicialComplex, assign: AlphaAssignment) -> CheckReport:
     """Signed-palindrome structure of chi_c for polytopal auxiliary complexes.
 
-    chi_c is computed through the reversed-numerator identity; the expected
+    chi_c is read from the main-theorem report, which must pass; the expected
     sign is (-1)^(n_T - d_T), coming from K_T = h_T * (1-t)^(n_T - d_T) and
     h-palindromicity.  When T is the octahedron boundary, the literal claim
     that the degree-5 and degree-3 coefficients agree is also recorded.
@@ -138,7 +138,7 @@ def reciprocity_report(S: SimplicialComplex, assign: AlphaAssignment) -> CheckRe
         raise ValueError("the reversed-numerator identity fails for this "
                          "assignment; reciprocity is undefined")
     n_t, d_t = main.details["n_T"], main.details["d_T"]
-    chi_c = reciprocal(IntPolynomial(main.details["numerator_T"]), S.n)
+    chi_c = IntPolynomial(main.details["chromatic"])
     sign = (-1) ** (n_t - d_t)
     palindrome = is_signed_palindrome(chi_c, sign)
     details = {

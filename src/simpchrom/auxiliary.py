@@ -8,9 +8,10 @@ nonfaces are the alpha_i.  The checks below measure that identity, the
 intersection condition that is supposed to imply it, and the two lift
 constructions that manufacture complexes satisfying it.  The apex lift of T
 is the full simplex on V(T) plus the cone over T from a fresh vertex q,
-built from T's facets with no dualization.  Both lifts hand T, on the union
-of the alphas, to the assignment they return; only an assignment that comes
-in has its alphas checked and dualized by ``auxiliary_complex``.  The
+built from T's facets with no dualization; the disjoint lift gives S by its
+sigmas alone.  Both lifts hand T, on the union of the alphas, to the
+assignment they return; only an assignment that comes in has its alphas
+checked by ``auxiliary_complex``.  The
 target invariant is decided over live states, as chi_c is summed: the
 subsets I that share their live components and live alpha union share
 every later step.  A depth-first walker, which carries the unions and
@@ -24,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import (NonfaceFamily, SimplicialComplex, _bits,
-                        _check_vertex_count, _later_unions, _masks, _reindex,
-                        fresh_label)
+from .complexes import (NonfaceFamily, SimplicialComplex, _check_vertex_count,
+                        _later_unions, _masks, _reindex, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -302,7 +302,7 @@ def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
     vertex, which still contributes to the numerator's t-power bookkeeping.
     A lift's assignment carries the complex, built from the T it lifted;
     any other assignment came in, so its alphas are checked as a
-    NonfaceFamily and dualized.
+    NonfaceFamily, and the complex dualizes them if its facets are read.
     """
     if assign._auxiliary is not None:
         return assign._auxiliary
@@ -314,7 +314,7 @@ def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
 
 def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
     """The lift's assignment, carrying its auxiliary complex: T on the union
-    of the alphas, relaxed, with T's minimal nonfaces.
+    of the alphas, with T's minimal nonfaces.
 
     A vertex in no minimal nonface of T is a cone point, in every facet, so
     dropping those vertices from each facet leaves an antichain.
@@ -324,8 +324,8 @@ def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
         union |= m
     ground = T.labels_of(union)
     restrict = _reindex(T.vertices, ground)
-    aux = SimplicialComplex(ground, map(restrict, T.facet_masks), relaxed=True,
-                            nonface_masks=map(restrict, T.minimal_nonface_masks))
+    aux = SimplicialComplex(ground, map(restrict, T.facet_masks),
+                            map(restrict, T.minimal_nonface_masks))
     assign = AlphaAssignment(tuple(zip(sigmas, alphas)))
     object.__setattr__(assign, "_auxiliary", aux)
     return assign
@@ -361,10 +361,10 @@ def lift_disjoint(T: SimplicialComplex):
     """One fresh vertex per minimal nonface; requires pairwise-disjoint nonfaces.
 
     Each sigma is an alpha plus its own fresh vertex, so the sigmas are
-    pairwise disjoint too, and a set is a face of S when it misses a vertex
-    of every sigma.  The facets of S drop exactly one vertex of each sigma,
-    and its minimal nonfaces are the sigmas; both are built as masks, with
-    no dualization.
+    pairwise disjoint too, and they are the minimal nonfaces of S.  S is
+    built from them alone; its facets, which drop exactly one vertex of
+    each sigma, come from the one dualization on first use, which is where
+    the vertex guard sits.
     """
     nonfaces = T.minimal_nonface_masks
     for i, a in enumerate(nonfaces):
@@ -380,13 +380,9 @@ def lift_disjoint(T: SimplicialComplex):
         used.add(q)
         fresh.append(q)
     labels = sorted(used)
-    _check_vertex_count(len(labels))
     move = _reindex(T.vertices, labels)
     sigmas = [move(m) | 1 << labels.index(q) for m, q in zip(nonfaces, fresh)]
-    facets = [(1 << len(labels)) - 1]
-    for m in sigmas:
-        facets = [f ^ 1 << v for f in facets for v in _bits(m)]
-    S = SimplicialComplex(labels, facets, nonface_masks=sigmas)
+    S = SimplicialComplex(labels, nonface_masks=sigmas)
     alphas = [frozenset(T.labels_of(m)) for m in nonfaces]
     return S, _lift_assignment([a | {q} for a, q in zip(alphas, fresh)], alphas, T)
 
@@ -468,18 +464,19 @@ def hilbert_polynomial_window(S: SimplicialComplex, a: int):
     """Window of K(t) from degree a upward, shifted to degree 0, under the
     Hilbert-polynomial criterion.
 
-    Returns (P, report).  P = sum_r K[a+r] x^r.  An all-zero window is
-    NOT_APPLICABLE rather than a verdict.
+    Returns (P, report).  P = sum_r K[a+r] x^r.  A failed shifted-numerator
+    identity FAILs the window with its witness; otherwise an all-zero
+    window is NOT_APPLICABLE rather than a verdict.
     """
     pre = verify_constant_component(S, a)
-    if not pre.details.get("identity_checked", False):
+    if not pre.details["identity_checked"]:
         raise ValueError(f"constant-component check fails for a = {a}: {pre.witness}")
     window = IntPolynomial(pre.details["numerator"][a:])
-    if window.is_zero():
+    if pre.passed and window.is_zero():
         rep = CheckReport("hilbert_window", NOT_APPLICABLE, None,
                           {"a": a, "window": [], "reason": "empty window"})
         return window, rep
-    criterion = brenti_criterion(window)
+    criterion = brenti_criterion(window) if pre.passed else pre
     hypotheses = (all(c >= 1 for c in window.coeffs)
                   and window[1] >= 3 and window[2] >= 3)
     rep = CheckReport(

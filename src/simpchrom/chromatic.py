@@ -18,6 +18,7 @@ matches the finite-model oracle at every integer point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .complexes import (SimplicialComplex, _antichain_max, _bits,
                         _later_unions, _masks, _reindex, fresh_label)
@@ -179,30 +180,27 @@ def complex_of_graph(G: Graph) -> SimplicialComplex:
 
 
 def graph_chromatic(G: Graph) -> IntPolynomial:
-    """Classical chromatic polynomial by deletion-contraction."""
+    """Classical chromatic polynomial by deletion-contraction on 2-bit edge
+    masks, each minor once; contraction moves the higher end onto the lower."""
     check_limit("graph_vertices", len(G.vertices), GRAPH_VERTEX_LIMIT,
                 "vertices to delete and contract",
                 "chi_c of complex_of_graph(G) is the same polynomial")
     t = IntPolynomial((0, 1))
 
+    @cache
     def rec(nverts, edges):
         if not edges:
             return t ** nverts
-        a, b = min(edges)
-        deleted = edges - {(a, b)}
-        contracted = set()
-        for x, y in deleted:
-            if x == b:
-                x = a
-            if y == b:
-                y = a
-            if x != y:
-                contracted.add((x, y) if x < y else (y, x))
-        return rec(nverts, deleted) - rec(nverts - 1, frozenset(contracted))
+        e = min(edges)
+        low = e & -e
+        high = e ^ low
+        deleted = edges - {e}
+        contracted = frozenset(f ^ high | low if f & high else f for f in deleted)
+        return rec(nverts, deleted) - rec(nverts - 1, contracted)
 
     index = {v: i for i, v in enumerate(G.vertices)}
-    edges = frozenset((index[a], index[b]) for a, b in G.edges)
-    return rec(len(G.vertices), edges)
+    return rec(len(G.vertices),
+               frozenset(1 << index[a] | 1 << index[b] for a, b in G.edges))
 
 
 def _nonface_mask(S: SimplicialComplex, sigma, convention: str) -> int:
@@ -243,7 +241,7 @@ def _contraction(S: SimplicialComplex, sig: int, convention: str):
         nonfaces += [full ^ m for m in _antichain_max(
             full ^ (move(m) | wbit) for m in S.minimal_nonface_masks
             if (m & sig).bit_count() == 1)]
-    return SimplicialComplex(labels, None, nonface_masks=nonfaces)
+    return SimplicialComplex(labels, nonface_masks=nonfaces)
 
 
 def _with_face(S: SimplicialComplex, sig: int) -> SimplicialComplex:
@@ -251,7 +249,7 @@ def _with_face(S: SimplicialComplex, sig: int) -> SimplicialComplex:
     nonfaces, and sig + v for each v outside sig with no other inside."""
     others = [m for m in S.minimal_nonface_masks if m != sig]
     grown = (sig | 1 << v for v in _bits((1 << S.n) - 1 & ~sig))
-    return SimplicialComplex(S.vertices, None, S.relaxed, others + [
+    return SimplicialComplex(S.vertices, nonface_masks=others + [
         g for g in grown if not any(m & g == m for m in others)])
 
 

@@ -84,9 +84,10 @@ def cmd_oracle_count(args):
 
 def cmd_verify_ac(args):
     S = load_complex(args.complex)
-    convention = MERGE_VERTEX if args.convention == "merge" else REMOVE_ONLY
-    rep = verify_addition_contraction(S, _parse_nonface(args.nonface), convention)
-    return {"conventions": {"contraction": convention}, "report": rep.to_dict()}
+    rep = verify_addition_contraction(S, _parse_nonface(args.nonface),
+                                      args.convention)
+    return {"conventions": {"contraction": args.convention},
+            "report": rep.to_dict()}
 
 
 def cmd_hilbert(args):
@@ -173,8 +174,8 @@ def cmd_logconcavity(args):
     S = load_complex(args.complex)
     assign = load_alpha(args.alpha) if args.alpha else None
     rep = log_concavity_report(S, assign, absolute=args.absolute)
-    mode = "absolute" if args.absolute else "literal"
-    return {"conventions": {"log_concavity_mode": mode}, "report": rep.to_dict()}
+    return {"conventions": {"log_concavity_mode": rep.details["mode"]},
+            "report": rep.to_dict()}
 
 
 def cmd_dehn_sommerville(args):
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-ac", cmd_verify_ac, "addition-contraction residual")
     p.add_argument("complex")
     p.add_argument("--nonface", required=True, help="comma-separated labels")
-    p.add_argument("--convention", choices=("merge", "remove"), default="merge")
+    p.add_argument("--convention", choices=(MERGE_VERTEX, REMOVE_ONLY),
+                   default=MERGE_VERTEX)
 
     p = add("hilbert", cmd_hilbert, "numerator, h-vector, f-vector")
     p.add_argument("complex")

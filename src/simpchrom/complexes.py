@@ -11,9 +11,9 @@ minimal nonfaces (the squarefree-ideal generators), and derives the other
 exactly on first use, where the vertex guard sits; so work that reads only
 the nonfaces never dualizes.
 
-A complex is "strict" when every vertex is required to be a face; auxiliary
-complexes built from companion-set families may carry formal vertices that
-are themselves nonfaces, and are constructed with ``relaxed=True``.
+A complex is "strict" when every vertex is a face.  ``relaxed=True`` lets
+the checked constructors admit formal vertices that are nonfaces, as an
+auxiliary complex may have; it selects a check and is not stored.
 
 A nonface family is checked once, where label sets enter the library: a
 ``NonfaceFamily`` a caller builds, ``from_minimal_nonfaces`` given label
@@ -21,8 +21,8 @@ lists, and ``auxiliary.auxiliary_complex`` on the alphas of an assignment that
 came in.  A family derived from the masks of a complex
 (``minimal_nonfaces()``) is an antichain by construction and is wrapped by
 ``_antichain_family`` without the check; both lifts and the auxiliary
-complex a lift hands over are built by the constructor from their facet and
-nonface masks alone.
+complex a lift hands over are built by the unchecked constructor from
+masks alone.
 """
 
 from __future__ import annotations
@@ -179,13 +179,11 @@ class SimplicialComplex:
     """Immutable vertex-labeled complex; all equality is on canonical form.
 
     The constructor is unchecked: ``facet_masks`` and ``nonface_masks`` are
-    antichains over the canonical ``vertices``; one of them may be None, to
-    be derived from the other on first use (equality reads the facets)."""
+    antichains over the canonical ``vertices``; one of them may be left out,
+    to be derived from the other on first use (equality reads the facets)."""
 
-    def __init__(self, vertices, facet_masks, relaxed: bool = False,
-                 nonface_masks=None):
+    def __init__(self, vertices, facet_masks=None, nonface_masks=None):
         self.vertices = tuple(vertices)
-        self.relaxed = bool(relaxed)
         if facet_masks is not None:
             self.__dict__["facet_masks"] = _sort_masks(facet_masks)
         if nonface_masks is not None:
@@ -197,7 +195,7 @@ class SimplicialComplex:
     def from_facets(cls, labels, facets, relaxed: bool = False) -> "SimplicialComplex":
         """Build from maximal faces; facets are reduced to an antichain.
 
-        In strict mode every label must appear in some facet.
+        Unless ``relaxed``, every label must appear in some facet.
         """
         verts = _canonical_labels(labels)
         masks = _masks(verts, facets, "facet")
@@ -209,7 +207,7 @@ class SimplicialComplex:
             missing = [verts[i] for i in range(len(verts)) if not covered >> i & 1]
             if missing:
                 raise ValueError(f"labels in no face: {missing}")
-        return cls(verts, masks, relaxed)
+        return cls(verts, masks)
 
     @classmethod
     def from_minimal_nonfaces(cls, labels, generators,
@@ -227,7 +225,7 @@ class SimplicialComplex:
                 if m.bit_count() == 1:
                     raise ValueError(
                         f"singleton generator {list(g)} leaves vertex {g[0]!r} in no face")
-        return cls(verts, None, relaxed, gen_masks)
+        return cls(verts, nonface_masks=gen_masks)
 
     # -- basic views -------------------------------------------------------
 

@@ -109,11 +109,11 @@ class CyclotomicSpec:
         """Phi_n, computed once per spec."""
         return cyclotomic_polynomial(self.n)
 
-    @property
+    @cached_property
     def phi(self) -> int:
         return euler_phi(self.n)
 
-    @property
+    @cached_property
     def groups(self) -> tuple[tuple[str, ...], ...]:
         """Vertex labels per prime group: consecutive letters, or v## labels."""
         total = sum(self.primes)

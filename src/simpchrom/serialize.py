@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .auxiliary import AlphaAssignment
-from .chromatic import Graph
+from .chromatic import Graph, complex_of_graph
 from .complexes import SimplicialComplex
 from .polynomials import IntPolynomial
 
@@ -124,7 +124,6 @@ def load_complex_or_graph(path: str):
 
     Returns (complex, kind) with kind "complex" or "graph".
     """
-    from .chromatic import complex_of_graph
     data = _read_json(path)
     if isinstance(data, dict) and "graph_vertices" in data:
         return complex_of_graph(graph_from_data(data, path)), "graph"

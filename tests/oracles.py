@@ -15,6 +15,11 @@ def points_complex(labels) -> SimplicialComplex:
     return SimplicialComplex.from_facets(labels, [[lab] for lab in labels])
 
 
+def _covered(S: SimplicialComplex) -> bool:
+    """Does every vertex of S lie in some facet, as a strict complex needs?"""
+    return set(S.vertices) <= {v for f in S.facets for v in f}
+
+
 def join(s1: SimplicialComplex, s2: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes on disjoint label sets: faces are unions F1 | F2."""
     overlap = set(s1.vertices) & set(s2.vertices)
@@ -22,8 +27,8 @@ def join(s1: SimplicialComplex, s2: SimplicialComplex) -> SimplicialComplex:
         raise ValueError(f"label collision in join: {sorted(overlap)}")
     labels = s1.vertices + s2.vertices
     facets = [tuple(f1) + tuple(f2) for f1 in s1.facets for f2 in s2.facets]
-    return SimplicialComplex.from_facets(labels, facets,
-                                         relaxed=s1.relaxed or s2.relaxed)
+    return SimplicialComplex.from_facets(
+        labels, facets, relaxed=not (_covered(s1) and _covered(s2)))
 
 
 def is_face(S: SimplicialComplex, labels) -> bool:
@@ -55,7 +60,7 @@ def contraction(S: SimplicialComplex, sigma, w=None) -> SimplicialComplex:
 def with_face(S: SimplicialComplex, sigma) -> SimplicialComplex:
     """S with the label set sigma added as a face, with all its subsets."""
     return SimplicialComplex.from_facets(S.vertices, list(S.facets) + [sigma],
-                                         relaxed=S.relaxed)
+                                         relaxed=not _covered(S))
 
 
 def f_from_h(h, d: int) -> tuple[int, ...]:

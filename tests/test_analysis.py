@@ -334,6 +334,27 @@ def test_a_broken_nonface_recovery_fails_the_sweep_round_trip(monkeypatch):
     assert "FAIL" in [row["verdict"] for row in rows]
 
 
+def test_a_broken_graph_oracle_fails_the_sweep_graph_rows(monkeypatch):
+    monkeypatch.setattr(sweep, "graph_chromatic", lambda g: P((7,)))
+    rows = sweep._graph_rows(random.Random(42), 42, 5)
+    assert [row["verdict"] for row in rows] == ["FAIL"] * 5
+    assert all(json.loads(row["witness"])["deletion_contraction"] == [7]
+               for row in rows)
+
+
+def test_reciprocity_is_refused_when_the_main_theorem_fails():
+    # on the triangle's edges, alphas a, b, c give K_T = (1 - t)^3, not the
+    # reversed chi_c = t(t - 1)(t - 2)
+    triangle = SC.from_minimal_nonfaces("abc", [("a", "b"), ("b", "c"),
+                                                ("a", "c")])
+    assign = AlphaAssignment(((frozenset("ab"), frozenset("a")),
+                              (frozenset("bc"), frozenset("b")),
+                              (frozenset("ac"), frozenset("c"))))
+    assert not verify_main_theorem(triangle, assign).passed
+    with pytest.raises(ValueError, match="reciprocity is undefined"):
+        reciprocity_report(triangle, assign)
+
+
 def test_a_repeated_sigma_is_rejected():
     # as a set the sigmas are the square's minimal nonfaces; ac is given twice
     square = SC.from_minimal_nonfaces("abcd", [("a", "c"), ("b", "d")])

@@ -157,7 +157,9 @@ def test_search_alpha_not_found_for_paper_family():
 def test_auxiliary_complex_fixtures():
     sq_assign = search_alpha(square_complex().minimal_nonfaces())
     t = auxiliary_complex(sq_assign)
-    assert t.n == 2 and t.facet_masks == (0,) and t.relaxed
+    # both vertices are formal nonfaces, which only a relaxed build admits
+    assert t.n == 2 and t.facet_masks == (0,)
+    assert t.minimal_nonfaces().generators == (("a",), ("b",))
     tri_assign = search_alpha(triangle_boundary().minimal_nonfaces())
     assert auxiliary_complex(tri_assign) == points_complex("12")
     octa_assign = AlphaAssignment(tuple(
@@ -184,6 +186,7 @@ def test_lift_with_apex_fixtures():
     octa_s, octa_assign = lift_with_apex(octahedron())
     assert octa_s.n == 7
     assert is_apex_assignment(octa_assign)
+    assert is_apex_assignment(AlphaAssignment(()))
 
 
 def test_lift_disjoint_fixtures():
@@ -243,7 +246,9 @@ def test_lifts_equal_the_checked_construction():
     for s, assign in lifts:
         sigmas = [sorted(x) for x in assign.sigmas]
         checked = SC.from_minimal_nonfaces(s.vertices, sigmas)
-        assert s == checked and not s.relaxed
+        # the strict construction above refuses a singleton sigma
+        assert s == checked
+        assert all(m.bit_count() > 1 for m in s.minimal_nonface_masks)
         assert s.minimal_nonface_masks == checked.minimal_nonface_masks == \
             SC(s.vertices, s.facet_masks).minimal_nonface_masks
         assert s.minimal_nonfaces() == NonfaceFamily(tuple(map(tuple, sigmas)))
@@ -251,7 +256,7 @@ def test_lifts_equal_the_checked_construction():
         given = AlphaAssignment(assign.pairs)
         handed, rebuilt = auxiliary_complex(assign), auxiliary_complex(given)
         assert handed is not rebuilt
-        for name in ("vertices", "facet_masks", "minimal_nonface_masks", "relaxed"):
+        for name in ("vertices", "facet_masks", "minimal_nonface_masks"):
             assert getattr(handed, name) == getattr(rebuilt, name)
         # and takes no part in the assignment's value
         assert given == assign and hash(given) == hash(assign)
@@ -362,6 +367,20 @@ def test_hilbert_polynomial_window_fixtures():
     assert window.is_zero() and rep.verdict == "NOT_APPLICABLE"
     with pytest.raises(ValueError, match="constant-component"):
         hilbert_polynomial_window(square_complex(), 1)
+
+
+def test_a_failed_identity_fails_the_window(monkeypatch):
+    # the window reads the numerator only once chi_c has confirmed it; with
+    # a wrong chi_c the path's window would otherwise FAIL on its criterion,
+    # with its own witness, and the simplex's empty one be NOT_APPLICABLE
+    monkeypatch.setattr(auxiliary, "chromatic_polynomial",
+                        lambda s: P.monomial(s.n) + 1)
+    for s in (SC.from_minimal_nonfaces("123", [("1", "2"), ("2", "3")]),
+              SC.from_minimal_nonfaces("abc", [])):
+        identity = verify_constant_component(s, 1)
+        assert identity.details["identity_checked"] and not identity.passed
+        _, rep = hilbert_polynomial_window(s, 1)
+        assert rep.verdict == "FAIL" and rep.witness == identity.witness
 
 
 def test_window_low_coefficient_is_never_large():

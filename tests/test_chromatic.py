@@ -199,6 +199,9 @@ def test_graph_chromatic_fixtures():
     assert graph_chromatic(path) == P((0, 1, -2, 1))  # t(t-1)^2
     edgeless = Graph(("a", "b", "c", "d"), ())
     assert graph_chromatic(edgeless) == P((0, 0, 0, 0, 1))
+    # at the vertex limit: each minor is computed once, so this takes well
+    # under a second where recomputing them took hours
+    assert graph_chromatic(complete_graph(12)) == falling_factorial(12)
 
 
 def test_graph_agreement_on_random_sample():

@@ -227,8 +227,7 @@ def test_relaxed_complex_oracle_agreement():
 def _relabel_upper(s):
     mapping = {v: v.upper() for v in s.vertices}
     return SC.from_facets([mapping[v] for v in s.vertices],
-                          [[mapping[v] for v in f] for f in s.facets],
-                          relaxed=s.relaxed)
+                          [[mapping[v] for v in f] for f in s.facets])
 
 
 def test_join_multiplies_chromatic_and_numerator():

@@ -52,6 +52,9 @@ def test_boundary_matrix_shapes_and_signs():
     assert d0.entries == ((1, 1),)
     d2 = boundary_matrix(octahedron(), 2)
     assert (d2.nrows, d2.ncols) == (12, 8)
+    for k in (-1, 2):
+        with pytest.raises(ValueError, match=f"degree {k} outside 0..1"):
+            boundary_matrix(tri, k)
 
 
 def test_boundary_squared_is_zero():
