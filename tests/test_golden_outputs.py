@@ -26,6 +26,8 @@ FILES = {
                 "minimal_nonfaces": [["1", "2"], ["2", "3", "4"], ["4", "5"]]},
     "tri.json": {"vertices": ["1", "2", "3"],
                  "minimal_nonfaces": [["1", "2", "3"]]},
+    # the full simplex: no minimal nonfaces, so K = 1
+    "simplex.json": {"vertices": ["a", "b", "c"], "facets": [["a", "b", "c"]]},
     "square.json": {"vertices": ["a", "b", "c", "d"],
                     "minimal_nonfaces": [["a", "c"], ["b", "d"]]},
     # the disjoint lift of the octahedron boundary: its auxiliary complex is
@@ -198,6 +200,9 @@ RUNS = {
     "verify-cc-disjoint-pair": ["verify-cc", "square.json", "--a", "1"],
     "verify-cc-singleton": ["verify-cc", "ac.json", "--a", "2"],
     "hilb-window-disjoint-pair": ["hilb-window", "square.json", "--a", "1"],
+    # a negative a, which no component count can be
+    "verify-cc-negative-a": ["verify-cc", "square.json", "--a", "-1"],
+    "hilb-window-negative-a": ["hilb-window", "simplex.json", "--a", "-1"],
     "verify-cc-apex-lift": ["verify-cc", "u7-4-apex.json", "--a", "1"],
     "hilb-window-apex-lift": ["hilb-window", "u7-4-apex.json", "--a", "1"],
     # no assignment and 36 nonfaces: the direct route sums chi_c by live
@@ -279,6 +284,8 @@ DIGESTS = {
         "ae771c6d8997572d0ef204a80ca22f73c55fe7f25bbb7866b1f98900edb8c602",
     "hilb-window-disjoint-pair":
         "0ed062e4c19acfc091a5d541abaf88c66fca94ab4456b8b72597f37cf17a9b00",
+    "hilb-window-negative-a":
+        "ed3806375588e66083eedf787dc7f3f11cd7be64ed563ac6be3a0d6ee406aea8",
     "hilbert-expand":
         "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
     "hilbert-expand-degree-limit":
@@ -331,6 +338,8 @@ DIGESTS = {
         "f24262cfa9a42f177bec9e73a84086ba4e4426b6565add7ab815094f42b8919e",
     "verify-cc-disjoint-pair":
         "030836012b81b76f31b6f819d723e386c32f0e59d219f13ea64bbd56dd203601",
+    "verify-cc-negative-a":
+        "56ed348cdae10711864b96b0de1cd4b99d0af9c2eb8cfb7eedb3689fab2a07df",
     "verify-cc-singleton":
         "9d2ae2bc70df311114e5615d4b36b229e1a9faf8bc58f8a9e3745d63dd7777e9",
     "verify-theorem-search":
