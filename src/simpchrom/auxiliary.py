@@ -430,7 +430,7 @@ def verify_main_theorem(S: SimplicialComplex, assign: AlphaAssignment) -> CheckR
 
 
 def verify_constant_component(S: SimplicialComplex, a: int) -> CheckReport:
-    """c(I) = a for every nonempty I, then the shifted-numerator identity.
+    """c(I) = a >= 0 for every nonempty I, then the shifted-numerator identity.
 
     c({i}) = 1, so for a != 1 the first nonface fails alone, and for a = 1
     the smallest, lexicographically first failing I is a disjoint pair.
@@ -438,6 +438,8 @@ def verify_constant_component(S: SimplicialComplex, a: int) -> CheckReport:
     through a degree-(n+a) coefficient reversal, so the Laurent tail must
     cancel to machine-checkable zero.
     """
+    if a < 0:
+        raise ValueError(f"a = {a} below 0: a component count is nonnegative")
     gens = S.minimal_nonfaces()
     sets = gens.as_sets()
     if a != 1:
@@ -461,8 +463,8 @@ def verify_constant_component(S: SimplicialComplex, a: int) -> CheckReport:
 
 
 def hilbert_polynomial_window(S: SimplicialComplex, a: int):
-    """Window of K(t) from degree a upward, shifted to degree 0, under the
-    Hilbert-polynomial criterion.
+    """Window of K(t) from degree a >= 0 upward, shifted to degree 0, under
+    the Hilbert-polynomial criterion.
 
     Returns (P, report).  P = sum_r K[a+r] x^r.  A failed shifted-numerator
     identity FAILs the window with its witness; otherwise an all-zero

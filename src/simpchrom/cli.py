@@ -37,6 +37,9 @@ from .serialize import (InputError, _label_set, alpha_to_data, complex_to_data,
 from .sweep import CSV_COLUMNS, run_sweep
 
 SIGN_CONVENTION = "direct_inclusion_exclusion"
+_LIFTS = {"apex": lift_with_apex, "disjoint": lift_disjoint}
+_CYCLO_CHECKS = {"cycltop": check_cyclotomic_homology,
+                "cyclcheck": check_constant_term_detection}
 
 
 def _parse_nonface(text: str) -> list[str]:
@@ -123,7 +126,7 @@ def cmd_alpha_check(args, check):
 
 def cmd_lift(args):
     T = load_complex(args.complex)
-    S, assign = lift_with_apex(T) if args.mode == "apex" else lift_disjoint(T)
+    S, assign = _LIFTS[args.mode](T)
     return {
         "conventions": {"lift_mode": args.mode},
         "complex": complex_to_data(S),
@@ -163,9 +166,7 @@ def cmd_cyclo_poly(args):
 
 def cmd_cyclo_check(args):
     spec = CyclotomicSpec(_parse_primes(args.primes), args.labeling)
-    check = (check_cyclotomic_homology if args.mode == "cycltop"
-             else check_constant_term_detection)
-    rep = check(spec, args.j)
+    rep = _CYCLO_CHECKS[args.mode](spec, args.j)
     return {"conventions": {"labeling": spec.labeling, "mode": args.mode},
             "report": rep.to_dict()}
 
@@ -188,8 +189,7 @@ def cmd_uniform(args):
     S = uniform_matroid_complex(args.n, args.r)
     out = {"complex": complex_to_data(S, name=f"uniform-{args.n}-{args.r}")}
     if args.lift:
-        lifted, assign = (lift_with_apex(S) if args.lift == "apex"
-                          else lift_disjoint(S))
+        lifted, assign = _LIFTS[args.lift](S)
         out["lift"] = {"mode": args.lift,
                        "complex": complex_to_data(lifted),
                        "alpha": alpha_to_data(assign)}
@@ -273,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lift", cmd_lift, "apex or disjoint lift of a complex")
     p.add_argument("complex")
-    p.add_argument("--mode", choices=("apex", "disjoint"), required=True)
+    p.add_argument("--mode", choices=_LIFTS, required=True)
 
     p = add("verify-cc", cmd_verify_cc, "constant component-count identity")
     p.add_argument("complex")
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=int, required=True, help="component count, >= 0")
 
     p = add("hilb-window", cmd_hilb_window,
             "Hilbert-polynomial criterion on the numerator window")
     p.add_argument("complex")
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=int, required=True, help="window start, >= 0")
 
     p = add("homology", cmd_homology, "reduced integer homology table")
     p.add_argument("complex")
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cyclotomic coefficient experiments on residue subcomplexes")
     p.add_argument("--primes", required=True, help="comma-separated primes")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--mode", choices=("cycltop", "cyclcheck"), default="cycltop")
+    p.add_argument("--mode", choices=_CYCLO_CHECKS, default="cycltop")
     p.add_argument("--labeling", choices=(ONE_BASED, ZERO_BASED), default=ONE_BASED,
                    help="residue labeling (default: one-based)")
 
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("uniform", cmd_uniform, "uniform matroid independence complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--lift", choices=("apex", "disjoint"), default=None)
+    p.add_argument("--lift", choices=_LIFTS, default=None)
 
     p = add("sweep", cmd_sweep, "randomized property suites as CSV")
     p.add_argument("--seed", type=int, default=0)

@@ -119,6 +119,12 @@ def _antichain_max(masks) -> list[int]:
     return out
 
 
+def _grown(masks, n: int):
+    """Each mask plus one of the n vertices above its top: a set is met once,
+    from itself less its top vertex, in lexicographic order if the masks are."""
+    return (m | 1 << v for m in masks for v in range(m.bit_length(), n))
+
+
 def _downward_closure(facet_masks) -> set[int]:
     faces = set()
     stack = list(facet_masks)
@@ -268,12 +274,12 @@ class SimplicialComplex:
 
     @cached_property
     def faces_by_size(self) -> tuple[tuple[int, ...], ...]:
-        """Face masks grouped by vertex count, entry i holding the faces with
-        i vertices in lexicographic vertex order; sorted once per complex."""
-        groups = [[] for _ in range(self.dimension + 2)]
-        for m in self.face_masks:
-            groups[m.bit_count()].append(m)
-        return tuple(tuple(sorted(g, key=_mask_key)) for g in groups)
+        """Face masks grouped by vertex count, entry i holding the i-vertex
+        faces in lexicographic order, each group grown from the one before."""
+        faces, groups = self.face_masks, [(0,)]
+        for _ in range(self.dimension + 1):
+            groups.append(tuple(g for g in _grown(groups[-1], self.n) if g in faces))
+        return tuple(groups)
 
     @property
     def dimension(self) -> int:
@@ -294,18 +300,11 @@ class SimplicialComplex:
 
     @cached_property
     def minimal_nonface_masks(self) -> tuple[int, ...]:
+        """Derived: the sets grown from the faces that are nonfaces with every
+        one-short subset a face."""
         faces = self.face_masks
-        full = (1 << self.n) - 1
-        found = set()
-        for m in faces:
-            free = full & ~m
-            for v in _bits(free):
-                cand = m | (1 << v)
-                if cand in found or cand in faces:
-                    continue
-                if all(cand & ~(1 << u) in faces for u in _bits(cand)):
-                    found.add(cand)
-        return _sort_masks(found)
+        return _sort_masks(g for g in _grown(faces, self.n) if g not in faces
+                           and all(g ^ 1 << u in faces for u in _bits(g)))
 
     def minimal_nonfaces(self) -> NonfaceFamily:
         return _antichain_family(self.labels_of(m)

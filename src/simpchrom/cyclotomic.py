@@ -201,8 +201,7 @@ def check_cyclotomic_homology(spec: CyclotomicSpec, j: int) -> CheckReport:
     c_j, T = _residue_case(spec, j)
     expected = _expected_homology(spec, c_j)
     actual = reduced_homology(T)
-    match = all(actual.get(k, (0, ())) == expected[k] for k in expected) \
-        and all(k in expected or actual[k] == (0, ()) for k in actual)
+    match = actual == expected
     actual_table = {str(k): [r, list(t)] for k, (r, t) in sorted(actual.items())}
     return report(
         "cyclotomic_homology", match,

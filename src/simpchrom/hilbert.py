@@ -98,16 +98,16 @@ def numerator_from_h(S: SimplicialComplex) -> IntPolynomial:
 def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
     """Monomials of degree m whose support is a face: the degree-m Hilbert value.
 
-    Counts C(m-1, |F|-1) per nonempty face F, plus the empty face at m = 0.
-    This is the independent series oracle for K(t)/(1-t)^n.
+    Sums C(m-1, k-1) f_{k-1} over k >= 1 from the f-vector, plus the empty
+    face at m = 0.  This is the independent series oracle for K(t)/(1-t)^n.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
     check_limit("monomial_degree", m, DEGREE_LIMIT, "factors per monomial")
     if m == 0:
         return 1
-    return sum(comb(m - 1, k - 1)
-               for k in (mask.bit_count() for mask in S.face_masks) if k >= 1)
+    f = S.f_vector()
+    return sum(comb(m - 1, k - 1) * f[k] for k in range(1, len(f)))
 
 
 def series_coefficients(S: SimplicialComplex, upto: int) -> list[int]:

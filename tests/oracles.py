@@ -57,6 +57,28 @@ def contraction(S: SimplicialComplex, sigma, w=None) -> SimplicialComplex:
     return SimplicialComplex.from_facets(labels, kept, relaxed=True)
 
 
+def face_groups(S: SimplicialComplex) -> list[list[tuple]]:
+    """The faces of S as label tuples, entry i holding the sorted i-sets."""
+    groups = [set() for _ in range(max(map(len, S.facets)) + 1)]
+    for f in S.facets:
+        for k in range(len(f) + 1):
+            groups[k].update(combinations(f, k))
+    return [sorted(g) for g in groups]
+
+
+def minimal_nonface_labels(S: SimplicialComplex) -> list[tuple]:
+    """The minimal label sets that lie in no facet of S, sorted, by trying
+    every subset of the vertices."""
+    facets = [set(f) for f in S.facets]
+
+    def face(labels):
+        return any(set(labels) <= f for f in facets)
+
+    return sorted(c for k in range(1, S.n + 1)
+                  for c in combinations(S.vertices, k)
+                  if not face(c) and all(face(set(c) - {v}) for v in c))
+
+
 def with_face(S: SimplicialComplex, sigma) -> SimplicialComplex:
     """S with the label set sigma added as a face, with all its subsets."""
     return SimplicialComplex.from_facets(S.vertices, list(S.facets) + [sigma],

@@ -369,6 +369,20 @@ def test_hilbert_polynomial_window_fixtures():
         hilbert_polynomial_window(square_complex(), 1)
 
 
+def test_a_negative_component_count_is_a_usage_error():
+    # the simplex's K = 1 has no coefficient below degree 0 for a < 0 to
+    # read, and no complex has a negative component count to check
+    full = SC.from_minimal_nonfaces("abc", [])
+    for a in (-1, -5):
+        for s in (full, square_complex()):
+            with pytest.raises(ValueError, match=f"^a = {a} below 0"):
+                verify_constant_component(s, a)
+            with pytest.raises(ValueError, match=f"^a = {a} below 0"):
+                hilbert_polynomial_window(s, a)
+    _, rep = hilbert_polynomial_window(full, 0)
+    assert rep.details["window"] == [1]
+
+
 def test_a_failed_identity_fails_the_window(monkeypatch):
     # the window reads the numerator only once chi_c has confirmed it; with
     # a wrong chi_c the path's window would otherwise FAIL on its criterion,

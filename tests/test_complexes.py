@@ -10,7 +10,8 @@ from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
-from oracles import is_face, join, points_complex
+from oracles import (face_groups, is_face, join, minimal_nonface_labels,
+                     points_complex)
 
 SC = SimplicialComplex
 
@@ -140,19 +141,40 @@ def test_face_count_matches_is_face_scan():
         assert total == sum(s.f_vector()[1:])
 
 
-def test_face_table_partitions_the_faces_by_size():
-    rng = random.Random(29)
+def _given_by_facets(seed):
+    """Complexes whose nonfaces are derived: seeded random ones, the same
+    with labels in no facet (singleton nonfaces, "bb" a middle bit), the
+    0-vertex complex, a simplex, points, and formal vertices alone."""
+    rng = random.Random(seed)
+    out = [SC.from_facets([], []), SC.from_facets("abcd", ["abcd"]),
+           points_complex("abc"), SC.from_facets("abc", [], relaxed=True)]
     for _ in range(40):
-        s = random_complex(rng, n_min=2, n_max=8)
+        s = random_complex(rng, n_max=8)
+        out.append(SC.from_facets(s.vertices, s.facets))
+        out.append(SC.from_facets(s.vertices + ("bb", "zz"), s.facets,
+                                  relaxed=True))
+    return out
+
+
+def test_face_table_partitions_the_faces_by_size():
+    for s in _given_by_facets(29):
         table = s.faces_by_size
         assert len(table) == s.dimension + 2
         assert sum(map(len, table)) == len(s.face_masks)
         assert set().union(*table) == s.face_masks
         for size, group in enumerate(table):
             assert all(m.bit_count() == size for m in group)
-            labels = [s.labels_of(m) for m in group]
-            assert labels == sorted(labels)  # lexicographic vertex order
+        # each group in lexicographic vertex order: the label sets grouped
+        # by size and sorted
+        assert [[s.labels_of(m) for m in g] for g in table] == face_groups(s)
     assert SC.from_facets([], []).faces_by_size == ((0,),)
+
+
+def test_derived_minimal_nonfaces_equal_a_subset_scan():
+    samples = _given_by_facets(47)
+    assert any(len(g) == 1 for s in samples for g in minimal_nonface_labels(s))
+    for s in samples:
+        assert list(s.minimal_nonfaces().generators) == minimal_nonface_labels(s)
 
 
 def test_is_face():

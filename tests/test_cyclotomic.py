@@ -10,6 +10,7 @@ from simpchrom.cyclotomic import (CyclotomicSpec, ONE_BASED, ZERO_BASED,
                                   cyclotomic_polynomial, euler_phi,
                                   facet_of_residue, included_residues)
 from simpchrom.hilbert import h_vector
+from simpchrom.homology import reduced_homology
 from simpchrom.polynomials import IntPolynomial
 from simpchrom.report import GuardError
 
@@ -163,6 +164,19 @@ def test_torsion_experiment_full_sweep_3_5():
         if phi[j] == 0:
             actual = rep.details["actual"]
             assert actual["0"] == [1, []] and actual["1"] == [1, []]
+
+
+def test_residue_homology_has_exactly_the_expected_degrees():
+    # every residue complex keeps the transversal facet of its residue, so
+    # it has dimension d-1 and its homology the degrees 0..d-1 that the
+    # expected table lists: the homology check compares the two as dicts
+    for primes in ((3, 5), (2, 3, 5)):
+        for labeling in (ZERO_BASED, ONE_BASED):
+            spec = CyclotomicSpec(primes, labeling)
+            for j in range(spec.phi + 1):
+                t = build_residue_subcomplex(spec, {j})
+                assert t.dimension == spec.d - 1
+                assert sorted(reduced_homology(t)) == list(range(spec.d))
 
 
 def test_euler_identity_holds_for_every_built_subcomplex():

@@ -200,7 +200,7 @@ RUNS = {
     "verify-cc-disjoint-pair": ["verify-cc", "square.json", "--a", "1"],
     "verify-cc-singleton": ["verify-cc", "ac.json", "--a", "2"],
     "hilb-window-disjoint-pair": ["hilb-window", "square.json", "--a", "1"],
-    # a negative a, which no component count can be
+    # a component count is never negative, so a < 0 is a usage error
     "verify-cc-negative-a": ["verify-cc", "square.json", "--a", "-1"],
     "hilb-window-negative-a": ["hilb-window", "simplex.json", "--a", "-1"],
     "verify-cc-apex-lift": ["verify-cc", "u7-4-apex.json", "--a", "1"],
@@ -285,7 +285,7 @@ DIGESTS = {
     "hilb-window-disjoint-pair":
         "0ed062e4c19acfc091a5d541abaf88c66fca94ab4456b8b72597f37cf17a9b00",
     "hilb-window-negative-a":
-        "ed3806375588e66083eedf787dc7f3f11cd7be64ed563ac6be3a0d6ee406aea8",
+        "41123bc6c6ebf949ee4e8eabf330926b29997839290a9f1da885570347359baf",
     "hilbert-expand":
         "acab8a0fb44d62379e97998f4e8df4f330a4feddfebe0d021ac8122a0dfe19da",
     "hilbert-expand-degree-limit":
@@ -339,7 +339,7 @@ DIGESTS = {
     "verify-cc-disjoint-pair":
         "030836012b81b76f31b6f819d723e386c32f0e59d219f13ea64bbd56dd203601",
     "verify-cc-negative-a":
-        "56ed348cdae10711864b96b0de1cd4b99d0af9c2eb8cfb7eedb3689fab2a07df",
+        "41123bc6c6ebf949ee4e8eabf330926b29997839290a9f1da885570347359baf",
     "verify-cc-singleton":
         "9d2ae2bc70df311114e5615d4b36b229e1a9faf8bc58f8a9e3745d63dd7777e9",
     "verify-theorem-search":

@@ -1,7 +1,8 @@
 """Boundary matrices, Smith normal form, and reduced homology."""
 
 import random
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import gcd
 
 import pytest
@@ -70,24 +71,37 @@ def test_boundary_squared_is_zero():
 
 
 def test_boundary_matrices_sort_the_faces_once(monkeypatch):
+    # the table of faces by size is built once per complex, every face in it
+    # once, and it comes out in order without a sort key
     rng = random.Random(31)
     samples = [octahedron()] + [random_complex(rng, n_max=7) for _ in range(10)]
-    keyed = []
+    keyed, built = [], []
     mask_key = complexes._mask_key
+    build_table = SC.faces_by_size.func
 
-    def counted(m):
+    def counted_key(m):
         keyed.append(m)
         return mask_key(m)
 
-    monkeypatch.setattr(complexes, "_mask_key", counted)
+    def counted_table(s):
+        built.append(s)
+        return build_table(s)
+
+    table = cached_property(counted_table)
+    table.__set_name__(SC, "faces_by_size")
+    monkeypatch.setattr(complexes, "_mask_key", counted_key)
+    monkeypatch.setattr(SC, "faces_by_size", table)
     for s in samples:
         s.facet_masks  # a complex given by its nonfaces sorts its facets here
         keyed.clear()
+        built.clear()
         for _ in range(3):
             for k in range(s.dimension + 1):
                 boundary_matrix(s, k)
-        reduced_homology(s)
-        assert sorted(keyed) == sorted(s.face_masks)  # each face keyed once
+            reduced_homology(s)
+        assert len(built) == 1 and built[0] is s and keyed == []
+        assert sorted(chain.from_iterable(s.faces_by_size)) \
+            == sorted(s.face_masks)  # each face in the table once
 
 
 def test_smith_normal_form_fixtures():
