@@ -6,9 +6,11 @@ connected components of the intersection graph of I.  The terms are added
 up by state, not one subset at a time: subsets that agree on everything a
 later nonface can still change share one signed count.  Two independent
 oracles live alongside: the finite-model count, which counts the colourings
-with no monochromatic minimal nonface by placing vertices into colour classes
-(it shares only the nonface bitmasks with the sum), and the classical graph
-chromatic polynomial via deletion-contraction.
+with no monochromatic minimal nonface from the ways to split the vertices
+into k colour classes that hold no nonface, counted once per complex for
+every k a q asks (it shares only the nonface bitmasks and the later-unions
+helper with the sum), and the classical graph chromatic polynomial via
+deletion-contraction.
 
 Sign convention: the direct inclusion-exclusion expansion of the removed
 diagonal union; it reproduces the falling factorial on complete graphs and
@@ -18,7 +20,7 @@ matches the finite-model oracle at every integer point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .complexes import (SimplicialComplex, _antichain_max, _bits,
                         _later_unions, _masks, _reindex, fresh_label)
@@ -132,46 +134,120 @@ def _chromatic_sum(n: int, gens) -> IntPolynomial:
 def finite_model_count(S: SimplicialComplex, q: int) -> int:
     """Tuples in {1..q}^n whose coordinates are not all equal on any nonface.
 
-    Independent oracle, exact: colours are interchangeable, so vertices are
-    placed in order into colour classes.  A vertex joins one of the k classes
-    in use or opens a new one, which any of the q - k unused colours can
-    take.  Each minimal nonface is tested once, at its highest vertex: the
-    rest of it must not lie in the class that vertex joins.  Past the last
-    such vertex every tuple of the tail counts, q^(n - v) of them.
+    Independent oracle, exact: colours are interchangeable, so it counts the
+    ways to place the vertices into k colour classes with no nonface inside
+    a class, and the q colours take k classes in q (q-1) ... (q-k+1) ways.
+    Only the vertices up to the highest top vertex of a nonface are placed;
+    past them every tuple of the tail counts, q^(n - last) of them.  The
+    class counts come from a table built once per complex and extended only
+    as far as k <= q, so the calls for q = 0..n+1 share one walk.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     n = S.n
     check_limit("model_size", q ** n, MODEL_LIMIT, f"tuples in {{1..{q}}}^{n}",
                 "chi_c evaluated at q is the same count")
-    rests = [[] for _ in range(n)]  # each nonface minus its highest vertex
-    last = 0  # first vertex of the free tail
-    for g in S.minimal_nonface_masks:
-        top = g.bit_length() - 1
-        rests[top].append(g ^ (1 << top))
-        last = max(last, top + 1)
-    classes = []
+    table = _class_counts(S.minimal_nonface_masks)
+    total = 0
+    ways = 1  # q (q-1) ... (q-k+1)
+    for k, count in enumerate(table.upto(min(q, table.last))):
+        total += count * ways
+        ways *= q - k
+    return q ** (n - table.last) * total
 
-    def count(v):
-        if v == last:
-            return q ** (n - v)
-        bit = 1 << v
-        tests = rests[v]
-        total = 0
-        for i, cls in enumerate(classes):
-            if all(rest & ~cls for rest in tests):
-                classes[i] = cls | bit
-                total += count(v + 1)
-                classes[i] = cls
-        k = len(classes)
-        # a new class holds v alone: only a singleton nonface (rest 0) lies in it
-        if k < q and all(tests):
-            classes.append(bit)
-            total += (q - k) * count(v + 1)
-            classes.pop()
-        return total
 
-    return count(0)
+@lru_cache(maxsize=1)
+def _class_counts(gens: tuple[int, ...]) -> "_ClassCounts":
+    """The table of the last nonface family asked for, kept across q."""
+    return _ClassCounts(gens)
+
+
+class _ClassCounts:
+    """Placements of the vertices 0..last-1 into colour classes, by count.
+
+    ``last`` is one past the highest top vertex of a nonface.  Vertices are
+    placed in order, and each minimal nonface is tested once, at its top
+    vertex: the rest of it must not lie in the class that vertex joins.  A
+    placement's state is its classes cut down to the vertices a later test
+    reads; a class that holds none of them counts only by number.  Stratum k
+    maps, at every vertex step, each state with exactly k classes to its
+    number of placements.  It is built from stratum k, where the vertex
+    joins a class, and from stratum k-1, where it opens one.  ``counts[k]``
+    is the total of stratum k at ``last``.  Only the last stratum built is
+    kept; check_live_states bounds the states of the two strata in memory,
+    and every state built.
+    """
+
+    def __init__(self, gens):
+        self.last = max((g.bit_length() for g in gens), default=0)
+        self.tests = [[] for _ in range(self.last)]  # each nonface minus its top
+        reads = [0] * self.last
+        for g in gens:
+            top = g.bit_length() - 1
+            self.tests[top].append(g ^ 1 << top)
+            reads[top] |= g ^ 1 << top
+        self.keeps = _later_unions(reads)  # what the tests after step v read
+        self.stratum = [{(): 1}] + [{}] * self.last
+        self.counts = [int(self.last == 0)]
+        self.summed = 0
+
+    def upto(self, k: int) -> list[int]:
+        """counts[0..k], building the strata not built yet."""
+        while len(self.counts) <= k:
+            self._build()
+        return self.counts[:k + 1]
+
+    def _build(self) -> None:
+        """The next stratum, from itself and the last one, step by step.
+
+        States are sorted tuples of nonzero masks.  The vertex placed is
+        above every class, so a class it joins or opens sorts last."""
+        k = len(self.counts)
+        prev = self.stratum
+        held = sum(map(len, prev))
+        summed = self.summed
+        cur = [{}]  # no placement of no vertex has a class
+        kept = 0  # what the states at this step hold
+        for v, (rests, keep) in enumerate(zip(self.tests, self.keeps)):
+            bit = 1 << v & keep
+            retires = kept & ~keep
+            opens = all(rests)  # a new class holds v alone: only {v} lies in it
+            nxt = {}
+            for classes, count in cur[v].items():
+                base = _cut(classes, keep) if retires else classes
+                grown = base + (bit,) if bit else base
+                for c in classes:
+                    for rest in rests:
+                        if not rest & ~c:
+                            break  # the rest of a nonface lies in c
+                    else:
+                        c &= keep
+                        if c and bit:
+                            state = tuple(d for d in base if d != c) + (c | bit,)
+                        else:
+                            state = base if c else grown
+                        nxt[state] = nxt.get(state, 0) + count
+                dead = k - len(classes)
+                if dead and opens:
+                    nxt[grown] = nxt.get(grown, 0) + dead * count
+            if opens:
+                for classes, count in prev[v].items():
+                    base = _cut(classes, keep) if retires else classes
+                    grown = base + (bit,) if bit else base
+                    nxt[grown] = nxt.get(grown, 0) + count
+            kept = keep
+            cur.append(nxt)
+            held += len(nxt)
+            summed += len(nxt)
+            check_live_states(held, summed, "chi_c evaluated at q is the same count")
+        self.stratum = cur
+        self.summed = summed
+        self.counts.append(sum(cur[-1].values()))
+
+
+def _cut(classes, keep: int) -> tuple[int, ...]:
+    """The classes cut down to keep, empty ones dropped, sorted again."""
+    return tuple(sorted(c & keep for c in classes if c & keep))
 
 
 def complex_of_graph(G: Graph) -> SimplicialComplex:

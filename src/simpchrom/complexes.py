@@ -126,17 +126,18 @@ def _grown(masks, n: int):
 
 
 def _downward_closure(facet_masks) -> set[int]:
-    faces = set()
-    stack = list(facet_masks)
+    """Every subset of a facet; a face enters the stack once, when first met."""
+    faces = set(facet_masks)
+    stack = list(faces)
     while stack:
         m = stack.pop()
-        if m in faces:
-            continue
-        faces.add(m)
         mm = m
         while mm:
             b = mm & -mm
-            stack.append(m & ~b)
+            sub = m ^ b
+            if sub not in faces:
+                faces.add(sub)
+                stack.append(sub)
             mm ^= b
     return faces
 
@@ -287,6 +288,10 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{dim}); f_-1 = 1 counts the empty face."""
+        return self._f_vector
+
+    @cached_property
+    def _f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dimension + 2)
         for m in self.face_masks:
             counts[m.bit_count()] += 1

@@ -1,7 +1,7 @@
 """Chromatic polynomial engine, its two oracles, and the contraction experiment."""
 
 import random
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -145,6 +145,91 @@ def test_finite_model_count_at_large_q_within_the_guard():
     assert finite_model_count(square_complex(), 100) == 98_010_000
     edge = SC.from_minimal_nonfaces("ab", [("a", "b")])
     assert finite_model_count(edge, 10 ** 4) == 99_990_000
+
+
+def test_model_counts_in_any_q_order_across_evictions():
+    # the class-count table is kept for one complex at a time: ascending,
+    # descending and shuffled q, with two complexes taking turns, rebuild
+    # and extend it from every point
+    rng = random.Random(61)
+    samples = [random_complex(rng, n_max=5, r_max=4) for _ in range(16)]
+    samples += [
+        SC.from_minimal_nonfaces("", []),
+        SC.from_minimal_nonfaces("abcd", [("c",), ("a", "b")], relaxed=True),
+        SC.from_minimal_nonfaces("abcde", [("b",), ("c", "d")], relaxed=True),
+        SC.from_minimal_nonfaces("abcde", [("b", "c")]),
+        SC.from_minimal_nonfaces("abcd", [("a", "d")]),
+    ]
+    literal = [[literal_model_count(s, q) for q in range(s.n + 3)]
+               for s in samples]
+    for i, s in enumerate(samples):
+        j = (i + 1) % len(samples)
+        t = samples[j]
+        ups = list(range(s.n + 3))
+        downs = list(reversed(range(t.n + 3)))
+        mixed = ups[:]
+        rng.shuffle(mixed)
+        for order in (ups, mixed):
+            for q, p in zip_longest(order, downs):
+                if q is not None:
+                    assert finite_model_count(s, q) == literal[i][q]
+                if p is not None:
+                    assert finite_model_count(t, p) == literal[j][p]
+    assert finite_model_count(SC.from_minimal_nonfaces("", []), 0) == 1
+
+
+def test_each_stratum_is_built_once(monkeypatch):
+    built = []
+    build = chromatic._ClassCounts._build
+
+    def counted(table):
+        built.append(len(table.counts))
+        build(table)
+
+    monkeypatch.setattr(chromatic._ClassCounts, "_build", counted)
+    chromatic._class_counts.cache_clear()
+    rng = random.Random(67)
+    for _ in range(20):
+        s = random_complex(rng, n_max=7, r_max=5)
+        last = max((m.bit_length() for m in s.minimal_nonface_masks), default=0)
+        built.clear()
+        for _ in range(2):
+            for q in range(s.n + 2):
+                finite_model_count(s, q)
+        assert built == list(range(1, last + 1))
+
+
+@pytest.mark.parametrize("limit, name, what", [
+    ("STATE_LIMIT", "live_states", "live states"),
+    ("STATE_WORK_LIMIT", "state_work", "states summed")])
+def test_the_class_count_guards_fire_within_a_stratum(limit, name, what,
+                                                      monkeypatch):
+    # the 16-cycle at q = 3 builds strata 1-3 over 16 vertex steps, 42
+    # states in all; with a state bound at 30 its guard fires halfway
+    # through stratum 3, and the table keeps strata 1-2
+    labels = [f"c{i:02d}" for i in range(16)]
+    c16 = SC.from_minimal_nonfaces(
+        labels, [(labels[i], labels[(i + 1) % 16]) for i in range(16)])
+    assert finite_model_count(c16, 3) == 2 ** 16 + 2
+    chromatic._class_counts.cache_clear()
+    steps = []
+    check = chromatic.check_live_states
+
+    def counted(live, summed, route):
+        steps.append((live, summed))
+        check(live, summed, route)
+
+    monkeypatch.setattr(chromatic, "check_live_states", counted)
+    monkeypatch.setattr(report, limit, 30)
+    with pytest.raises(GuardError) as err:
+        finite_model_count(c16, 3)
+    live, summed = steps[-1]
+    measured = live if limit == "STATE_LIMIT" else summed
+    assert err.value.limit == name and err.value.measured == measured > 30
+    assert str(err.value) == (f"{measured} {what} exceed the 30 limit; "
+                              "chi_c evaluated at q is the same count")
+    assert 2 * 16 < len(steps) < 3 * 16 - 1  # before stratum 3's last step
+    assert chromatic._class_counts(c16.minimal_nonface_masks).counts == [0, 0, 1]
 
 
 def test_finite_model_fixtures():

@@ -103,6 +103,25 @@ def test_series_matches_monomial_count():
             assert series[m] == standard_monomial_count(s, m)
 
 
+def test_monomial_counts_read_the_faces_once(monkeypatch):
+    # the f-vector is counted once per complex, however many degrees ask
+    reads = []
+    closure = SC.face_masks.func
+
+    def counted(s):
+        reads.append(s)
+        return closure(s)
+
+    monkeypatch.setattr(SC, "face_masks", property(counted))
+    rng = random.Random(79)
+    for _ in range(10):
+        s = random_complex(rng, n_max=7)
+        reads.clear()
+        counts = [standard_monomial_count(s, m) for m in range(1, 13)]
+        assert reads == [s]
+        assert counts == series_coefficients(s, 12)[1:]
+
+
 def test_h_vector_invariants():
     rng = random.Random(6)
     for _ in range(30):
