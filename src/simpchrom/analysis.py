@@ -44,25 +44,29 @@ def octahedron_boundary() -> SimplicialComplex:
 
 
 def _chromatic_if_possible(S, assign):
-    """chi_c through the reversed-numerator identity when an assignment is
-    given (and valid), else directly; or None and the reason, which is a
-    guard's own message when a guard refused the route.
+    """chi_c and its route: through the reversed-numerator identity when an
+    assignment is given and passes the target invariant, else directly.
+    When the assignment cannot vouch for the identity, the route is
+    "direct (<why>)".  When the direct sum is refused, chi_c is None and the
+    route is the guard's own message.
 
     An assignment whose sigmas are not the minimal nonfaces of S is a
     ValueError: its identity would describe another complex."""
+    route = "direct"
     if assign is not None:
         require_matching_sigmas(S, assign)
         try:  # the apex shape passes the invariant at any size, unscanned
             valid = is_apex_assignment(assign) or check_target_invariant(assign).passed
+            why = "assignment fails the target invariant"
         except GuardError as exc:
-            return None, str(exc)
-        if not valid:
-            return None, "assignment fails the target invariant"
-        T = auxiliary_complex(assign)
-        k_t = numerator_from_h(T)  # the h-route walks no generator subsets
-        return reciprocal(k_t, S.n), "identity"
+            valid, why = False, str(exc)
+        if valid:
+            T = auxiliary_complex(assign)
+            k_t = numerator_from_h(T)  # the h-route walks no generator subsets
+            return reciprocal(k_t, S.n), "identity"
+        route = f"direct ({why})"
     try:
-        return chromatic_polynomial(S), "direct"
+        return chromatic_polynomial(S), route
     except GuardError as exc:
         return None, str(exc)
 

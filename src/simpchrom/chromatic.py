@@ -68,23 +68,20 @@ def complete_graph(n: int) -> Graph:
 
 
 def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
-    """Inclusion-exclusion over all subsets of the minimal nonfaces."""
-    return _chromatic_sum(S.n, S.minimal_nonface_masks)
+    """Inclusion-exclusion over all subsets of the minimal nonfaces, summed
+    by state.
 
-
-def _chromatic_sum(n: int, gens) -> IntPolynomial:
-    """chi_c on n vertices from the minimal nonface masks, summed by state.
-
-    The generators are taken in order, and each subset I either holds the
-    next one or leaves it out.  All the rest of the sum needs to know of I is
-    its state: the exponent n - |union of I| + c(I) so far, and the
-    components of I cut down to the live vertices, those a later generator
-    holds.  A vertex retires after its last generator, which no later one
-    can reach, so a component just drops it.  Subsets in one state add up
-    their signed counts, and the last generator reads each state straight
-    into the coefficients.  The cost is the live states, not the 2^r
-    subsets; check_live_states bounds them, and their sum over the walk.
+    The minimal nonface masks are taken in order, and each subset I either
+    holds the next one or leaves it out.  All the rest of the sum needs to
+    know of I is its state: the exponent n - |union of I| + c(I) so far, and
+    the components of I cut down to the live vertices, those a later
+    generator holds.  A vertex retires after its last generator, which no
+    later one can reach, so a component just drops it.  Subsets in one state
+    add up their signed counts, and the last generator reads each state
+    straight into the coefficients.  The cost is the live states, not the
+    2^r subsets; check_live_states bounds them, and their sum over the walk.
     """
+    n, gens = S.n, S.minimal_nonface_masks
     coeff = [0] * (n + 1)
     if not gens:
         coeff[n] = 1
@@ -154,12 +151,6 @@ def finite_model_count(S: SimplicialComplex, q: int) -> int:
         total += count * ways
         ways *= q - k
     return q ** (n - table.last) * total
-
-
-@lru_cache(maxsize=1)
-def _class_counts(gens: tuple[int, ...]) -> "_ClassCounts":
-    """The table of the last nonface family asked for, kept across q."""
-    return _ClassCounts(gens)
 
 
 class _ClassCounts:
@@ -243,6 +234,10 @@ class _ClassCounts:
         self.stratum = cur
         self.summed = summed
         self.counts.append(sum(cur[-1].values()))
+
+
+# the table of the last nonface family asked for, kept across q
+_class_counts = lru_cache(maxsize=1)(_ClassCounts)
 
 
 def _cut(classes, keep: int) -> tuple[int, ...]:

@@ -210,25 +210,25 @@ def cmd_sweep(args):
     return {"raw": text}
 
 
-def _print_pretty(payload, stream):
+def _print_pretty(payload):
     def walk(obj, indent=0):
         pad = "  " * indent
         if isinstance(obj, dict):
             for key in sorted(obj):
                 value = obj[key]
                 if isinstance(value, (dict, list)):
-                    stream.write(f"{pad}{key}:\n")
+                    sys.stdout.write(f"{pad}{key}:\n")
                     walk(value, indent + 1)
                 else:
-                    stream.write(f"{pad}{key}: {value}\n")
+                    sys.stdout.write(f"{pad}{key}: {value}\n")
         elif isinstance(obj, list):
             for value in obj:
                 if isinstance(value, (dict, list)):
                     walk(value, indent + 1)
                 else:
-                    stream.write(f"{pad}- {value}\n")
+                    sys.stdout.write(f"{pad}- {value}\n")
         else:
-            stream.write(f"{pad}{obj}\n")
+            sys.stdout.write(f"{pad}{obj}\n")
     walk(payload)
 
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
                "conventions": {"sign_convention": SIGN_CONVENTION,
                                **body.get("conventions", {})}}
     if args.pretty:
-        _print_pretty(payload, sys.stdout)
+        _print_pretty(payload)
     else:
         print(json.dumps(payload, sort_keys=True))
     return 0

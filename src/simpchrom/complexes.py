@@ -144,7 +144,8 @@ def _downward_closure(facet_masks) -> set[int]:
 
 @dataclass(frozen=True)
 class NonfaceFamily:
-    """Antichain of vertex-label sets: the squarefree ideal generators.
+    """Antichain of vertex-label sets: the squarefree ideal generators, each
+    a sorted label tuple, the tuples in sorted order.
 
     Construction checks the family (no empty generator, no repeated vertex,
     no generator inside another) and sorts it; this is the check every
@@ -169,9 +170,6 @@ class NonfaceFamily:
 
     def __len__(self):
         return len(self.generators)
-
-    def as_sets(self) -> list[frozenset]:
-        return [frozenset(g) for g in self.generators]
 
 
 def _antichain_family(generators) -> NonfaceFamily:

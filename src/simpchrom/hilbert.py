@@ -43,10 +43,9 @@ def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
     size above bit n.  Subsets in one state add up their signed counts, and
     the last generator reads each state straight into the coefficients.
     """
-    gens = family.as_sets()
-    if not gens:
+    if not family.generators:
         return IntPolynomial((1,))
-    ground = sorted(set().union(*gens))
+    ground = sorted(set().union(*family.generators))
     masks = _masks(ground, family.generators, "generator")
     n = len(ground)
     states = {0: 1}  # |union| << n | live part of the union -> signed count
@@ -100,10 +99,11 @@ def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
 
     Sums C(m-1, k-1) f_{k-1} over k >= 1 from the f-vector, plus the empty
     face at m = 0.  This is the independent series oracle for K(t)/(1-t)^n.
+    Its cost does not grow with m, so it has no degree guard; the series it
+    is checked against has one.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    check_limit("monomial_degree", m, DEGREE_LIMIT, "factors per monomial")
     if m == 0:
         return 1
     f = S.f_vector()
@@ -114,7 +114,7 @@ def series_coefficients(S: SimplicialComplex, upto: int) -> list[int]:
     """Coefficients 0..upto of K(t)/(1-t)^n expanded as a power series."""
     if upto < 0:
         raise ValueError("degree must be nonnegative")
-    # the monomial oracle it is checked against stops there
+    # bounds the printed series, before K is computed
     check_limit("monomial_degree", upto, DEGREE_LIMIT, "factors per monomial")
     k = numerator_by_inclusion_exclusion(S.minimal_nonfaces())
     n = S.n

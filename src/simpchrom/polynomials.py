@@ -39,10 +39,10 @@ class IntPolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
+    def monomial(cls, degree: int) -> "IntPolynomial":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     @property
     def degree(self) -> int:

@@ -33,10 +33,10 @@ def random_complex(rng: random.Random, n_min: int = 2, n_max: int = 8,
         labels, [tuple(sorted(g)) for g in kept])
 
 
-def random_intersecting_complex(rng: random.Random, n_min: int = 3,
-                                n_max: int = 8, r_max: int = 5) -> SimplicialComplex:
+def random_intersecting_complex(rng: random.Random, n_max: int = 8,
+                                r_max: int = 5) -> SimplicialComplex:
     """Random complex whose minimal nonfaces pairwise intersect."""
-    n = rng.randint(n_min, n_max)
+    n = rng.randint(3, n_max)
     labels = list(LETTERS[:n])
     target = rng.randint(1, r_max)
     kept: list[frozenset] = []
@@ -54,11 +54,10 @@ def random_intersecting_complex(rng: random.Random, n_min: int = 3,
         labels, [tuple(sorted(g)) for g in kept])
 
 
-def random_graph(rng: random.Random, n_min: int = 2, n_max: int = 6,
-                 edge_probability: float = 0.5) -> Graph:
-    n = rng.randint(n_min, n_max)
+def random_graph(rng: random.Random) -> Graph:
+    n = rng.randint(2, 6)
     labels = list(LETTERS[:n])
     edges = [(labels[i], labels[j])
              for i in range(n) for j in range(i + 1, n)
-             if rng.random() < edge_probability]
+             if rng.random() < 0.5]
     return Graph(tuple(labels), tuple(edges))

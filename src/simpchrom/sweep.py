@@ -16,6 +16,7 @@ from .chromatic import chromatic_polynomial, complex_of_graph, finite_model_coun
 from .complexes import SimplicialComplex
 from .hilbert import (numerator_by_inclusion_exclusion, numerator_from_h,
                       series_coefficients, standard_monomial_count)
+from .report import FAIL, PASS
 from .sampling import random_complex, random_graph
 
 CSV_COLUMNS = ("instance_id", "seed", "n", "r", "check_name", "verdict", "witness")
@@ -28,7 +29,7 @@ def _row(instance_id, seed, n, r, check_name, ok, witness=None):
         "n": n,
         "r": r,
         "check_name": check_name,
-        "verdict": "PASS" if ok else "FAIL",
+        "verdict": PASS if ok else FAIL,
         "witness": "" if ok else json.dumps(witness, sort_keys=True),
     }
 

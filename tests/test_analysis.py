@@ -108,17 +108,35 @@ def test_state_work_on_the_direct_route_is_not_applicable(monkeypatch):
     assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"
 
 
-def test_a_refused_assignment_gives_the_guard_message():
-    # the apex lift of U(7,4) has 21 pairs; with one alpha that keeps q and
-    # drops a v it is no longer apex-shaped, so only the scan could decide it
+def _refused_u74_assignment():
+    """The apex lift of U(7,4), 21 pairs, with one alpha that keeps q and
+    drops a v: no longer apex-shaped, so only the scan could decide it."""
     s, assign = lift_with_apex(uniform_matroid_complex(7, 4))
     (sigma, alpha), *rest = assign.pairs
-    changed = AlphaAssignment(((sigma, sigma - {max(alpha)}), *rest))
+    return s, AlphaAssignment(((sigma, sigma - {max(alpha)}), *rest))
+
+
+def _chromatic_by_the_direct_route(rep, s, reason):
+    """The chromatic scans read chi_c of s, summed directly because of
+    ``reason``."""
+    subs = rep.details["sub_results"]
+    assert rep.details["chromatic_route"] == f"direct ({reason})"
+    assert subs["chromatic"]["details"]["sequence"] == list(
+        chromatic_polynomial(s).coeffs)
+    assert subs["chromatic_translate"]["verdict"] != "NOT_APPLICABLE"
+
+
+def test_a_refused_assignment_falls_back_to_the_direct_route():
+    s, changed = _refused_u74_assignment()
     rep = log_concavity_report(s, changed)
-    _chromatic_not_applicable(rep, "21 pairs to scan exceed the 20 limit")
+    _chromatic_by_the_direct_route(rep, s, "21 pairs to scan exceed the 20 limit")
+    # the same verdicts as without an assignment
+    plain = log_concavity_report(s)
+    assert plain.details["chromatic_route"] == "direct"
+    assert rep.details["sub_results"] == plain.details["sub_results"]
 
 
-def test_an_assignment_failing_the_invariant_is_not_applicable():
+def test_an_assignment_failing_the_invariant_falls_back_to_the_direct_route():
     # three isolated points: the three edges each keep one vertex, so their
     # alphas cover three vertices where the invariant allows two
     s = SC.from_minimal_nonfaces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -126,7 +144,17 @@ def test_an_assignment_failing_the_invariant_is_not_applicable():
                               (frozenset("bc"), frozenset("b")),
                               (frozenset("ac"), frozenset("c"))))
     rep = log_concavity_report(s, assign)
-    _chromatic_not_applicable(rep, "assignment fails the target invariant")
+    _chromatic_by_the_direct_route(rep, s, "assignment fails the target invariant")
+    assert rep.details["sub_results"]["chromatic"]["details"]["sequence"] == [
+        0, 2, -3, 1]
+
+
+def test_both_routes_refused_is_not_applicable(monkeypatch):
+    s, changed = _refused_u74_assignment()
+    monkeypatch.setattr(report, "STATE_LIMIT", 1)
+    rep = log_concavity_report(s, changed)
+    _chromatic_not_applicable(rep, "2 live states exceed the 1 limit; "
+                                   "use the auxiliary-complex identity instead")
 
 
 def test_log_concavity_through_the_identity_route():

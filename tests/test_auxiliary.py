@@ -424,7 +424,7 @@ def test_target_invariant_guard():
 @pytest.mark.parametrize("check", [check_intersection_property,
                                    check_target_invariant])
 def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatch):
-    visits, witnesses, states, masks = [], [], [], []
+    visits, witnesses, verdicts, masks = [], [], [], []
     walk, by_state, bitmasks = (auxiliary._walk, auxiliary._invariant_by_state,
                                 auxiliary._bitmasks)
 
@@ -436,9 +436,8 @@ def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatc
         return witnesses[-1]
 
     def counting_states(*args):
-        proved, summed = by_state(*args)
-        states.append(summed)
-        return proved, summed
+        verdicts.append(by_state(*args))
+        return verdicts[-1]
 
     def counting_masks(*families):
         masks.append(families)
@@ -454,11 +453,11 @@ def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatc
     err = exc.value
     assert (err.limit, err.measured, err.bound, str(err)) == (
         "assignment_size", 4, 3, "4 pairs to scan exceed the 3 limit")
-    assert (visits, states, masks) == ([], [], [])
+    assert (visits, verdicts, masks) == ([], [], [])
     assert check(AlphaAssignment(pairs[:3])).passed
     if check is check_target_invariant:
-        # each pair retires its own vertices, so one state is live throughout
-        assert (visits, states) == ([], [3])
+        # the state pass proves it, so the walker never runs
+        assert (visits, verdicts) == ([], [True])
     else:
         assert len(visits) == 7
     # alpha_2 = alpha_0 with sigma_2 disjoint from sigma_0: the walker names
@@ -480,17 +479,30 @@ def ladder_antichain(r, n=12):
     return labels, sorted(tuple(sorted(g)) for g in kept)
 
 
-def state_pass(assign):
-    """(proved, states summed) of the target invariant's state pass."""
-    return auxiliary._invariant_by_state(
-        *auxiliary._bitmasks(assign.sigmas, assign.alphas))
+def state_pass(assign, monkeypatch):
+    """(proved, states summed) of the target invariant's state pass.
+
+    Each step copies its live states with set() once, after adding them to
+    the sum, so a counting set() in the module sees every state summed."""
+    masks = auxiliary._bitmasks(assign.sigmas, assign.alphas)
+    summed = 0
+
+    def counting_set(states):
+        nonlocal summed
+        summed += len(states)
+        return set(states)
+
+    with monkeypatch.context() as m:
+        m.setattr(auxiliary, "set", counting_set, raising=False)
+        proved = auxiliary._invariant_by_state(*masks)
+    return proved, summed
 
 
 def walked_target_invariant(assign, monkeypatch):
     """check_target_invariant with the state pass proving nothing, so the
     walker scans every subset it needs."""
     with monkeypatch.context() as m:
-        m.setattr(auxiliary, "_invariant_by_state", lambda *masks: (False, 0))
+        m.setattr(auxiliary, "_invariant_by_state", lambda *masks: False)
         return check_target_invariant(assign)
 
 
@@ -509,14 +521,15 @@ def test_states_and_walk_agree_on_the_target_invariant(monkeypatch):
             walked = walked_target_invariant(assign, monkeypatch)
             assert (rep.verdict, rep.witness) == (walked.verdict, walked.witness)
             # up to six pairs the bound never fires: the pass proves every PASS
-            assert state_pass(assign)[0] == rep.passed
+            assert auxiliary._invariant_by_state(*auxiliary._bitmasks(
+                assign.sigmas, assign.alphas)) == rep.passed
             if kind == "remove_one" or any(not a <= g for g, a in assign.pairs):
                 counts[kind][0] += 1
                 counts[kind][1] += not rep.passed
     assert counts == {"remove_one": [2564, 1213], "outside": [1565, 1197]}
 
 
-def test_the_state_pass_gives_up_within_its_bound():
+def test_the_state_pass_gives_up_within_its_bound(monkeypatch):
     # 19 disjoint pairs keep every subset of their x's apart until the last
     # sigma, which joins all x's; its alpha drops x00, so every I holding
     # it and a pair other than 0 fails, and only at the last pair
@@ -525,7 +538,7 @@ def test_the_state_pass_gives_up_within_its_bound():
         (frozenset(xs), frozenset(xs[1:])),)
     assign = AlphaAssignment(pairs)
     r = len(assign)
-    proved, summed = state_pass(assign)
+    proved, summed = state_pass(assign, monkeypatch)
     assert not proved and summed <= r << (r + 1) // 2
     rep = check_target_invariant(assign)
     assert rep.witness == brute_target_invariant(assign)
@@ -539,7 +552,7 @@ def test_the_state_pass_alone_decides_the_lattice_ladder(monkeypatch):
     monkeypatch.setattr(auxiliary, "_walk", no_walk)
     for r in range(12, 21):
         S, assign = lift_with_apex(SC.from_minimal_nonfaces(*ladder_antichain(r)))
-        proved, summed = state_pass(assign)
+        proved, summed = state_pass(assign, monkeypatch)
         assert len(assign) == r and proved and summed <= 1605
         assert check_target_invariant(assign).passed
 
@@ -612,7 +625,7 @@ def brute_intersection_property(assign, mode):
 
 
 def brute_constant_component(S, a):
-    sets = S.minimal_nonfaces().as_sets()
+    sets = [frozenset(g) for g in S.minimal_nonfaces().generators]
 
     def fails(idx):
         c = component_count([sets[i] for i in idx])
@@ -623,7 +636,7 @@ def brute_constant_component(S, a):
 
 
 def brute_search_alpha(family):
-    gens = family.as_sets()
+    gens = [frozenset(g) for g in family.generators]
     candidates = [sorted(tuple(sorted(g - {x})) for x in g) for g in gens]
     for choice in product(*candidates):
         assign = AlphaAssignment(tuple(
@@ -635,14 +648,14 @@ def brute_search_alpha(family):
 
 def random_remove_one(rng, S):
     return AlphaAssignment(tuple(
-        (g, g - {rng.choice(sorted(g))}) for g in S.minimal_nonfaces().as_sets()))
+        (g, frozenset(g) - {rng.choice(g)}) for g in S.minimal_nonfaces().generators))
 
 
 def random_companions(rng, S):
     # alpha_i need not lie inside sigma_i, so the disjointness clause can fail
     return AlphaAssignment(tuple(
         (g, frozenset(rng.sample(S.vertices, len(g) - 1)))
-        for g in S.minimal_nonfaces().as_sets()))
+        for g in S.minimal_nonfaces().generators))
 
 
 def test_scans_report_the_smallest_lexicographically_first_witness():

@@ -8,7 +8,7 @@ import pytest
 from simpchrom import chromatic, report
 from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
-                                 _chromatic_sum, chromatic_polynomial,
+                                 chromatic_polynomial,
                                  complete_graph, complex_of_graph,
                                  finite_model_count,
                                  graph_chromatic, tidied_contraction,
@@ -442,7 +442,9 @@ def test_live_state_guard(seed, monkeypatch):
     assert numerator_by_inclusion_exclusion(family).evaluate(1) == 0
     monkeypatch.setattr(report, "STATE_LIMIT", 2000)
     with pytest.raises(GuardError) as err:
-        _chromatic_sum(25, [sum(1 << v for v in g) for g in gens])
+        chromatic_polynomial(SC(
+            [f"v{v:02d}" for v in range(25)],
+            nonface_masks=[sum(1 << v for v in g) for g in gens]))
     assert err.value.limit == "live_states"
     count = int(str(err.value).split()[0])
     assert count > 2000

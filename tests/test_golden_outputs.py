@@ -208,7 +208,8 @@ RUNS = {
     # no assignment and 36 nonfaces: the direct route sums chi_c by live
     # state, so every sub-result has a verdict
     "logconcavity-nonface-guard": ["logconcavity", "u9-6.json"],
-    # the scan guard refuses the assignment, so chi_c is not applicable
+    # the scan guard refuses the assignment, so chi_c is summed directly and
+    # the route names the refusal
     "logconcavity-alpha-guard": ["logconcavity", "u7-4-apex.json", "--alpha",
                                  "u7-4-apex-alpha-not-apex.json"],
 }
@@ -307,7 +308,7 @@ DIGESTS = {
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-alpha-guard":
-        "3948a62a24d8c40051e00b05e43a25949afb66d09f60cbd06e92c2ffb9ce1049",
+        "8af43a80fae2c444e1a6cd3d1789e3b33dc413410bb297877d304a27ac495495",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
     "logconcavity-nonface-guard":
