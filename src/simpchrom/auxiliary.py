@@ -30,13 +30,12 @@ from .complexes import (NonfaceFamily, SimplicialComplex, _check_vertex_count,
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
-from .report import CheckReport, NOT_APPLICABLE, check_limit, report
+from .report import CheckReport, NOT_APPLICABLE, STATE_LIMIT, check_limit, report
 
 LITERAL = "literal"
 STRICT = "strict"
 
-SUBSET_SCAN_LIMIT = 20
-SEARCH_NODE_LIMIT = 10 ** 7  # walker nodes, about 10 s at ~1 us per node
+SEARCH_NODE_LIMIT = 10 ** 7  # walker units, about 10 s at ~1 us per unit
 
 
 @dataclass(frozen=True)
@@ -83,32 +82,34 @@ def _bitmasks(*families) -> list[list[int]]:
     return [_masks(labels, sets, "label set") for sets in families]
 
 
-def _check_scan_size(r: int) -> None:
-    """GuardError before any mask is built when r pairs are too many for
-    the walker's 2^r subsets."""
-    check_limit("assignment_size", r, SUBSET_SCAN_LIMIT, "pairs to scan")
-
-
-def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
-    """Witness of the smallest, lexicographically first failing I = start + J.
+def _walk(sigmas, alphas, visit, what, start=(0, 0, 0, ()), spent=0,
+          pair_tests=False):
+    """(witness, units spent): the witness of the smallest,
+    lexicographically first failing I = start + J, or None.
 
     J runs over the nonempty subsets of range(len(sigmas)) in depth-first
     preorder, which lists each size in lexicographic order.  start, and the
     state passed to visit, is (index bitmask, sigma union, alpha union,
     components of sigma_I); visit returns a witness or a falsy value.
-    After a witness only smaller sets are visited.  Callers check the pair
-    count with _check_scan_size first.
+    After a witness only smaller sets are visited.  Each visit spends one
+    unit, or with pair_tests one per pair outside I; spent carries the
+    units of the check's earlier walks, and past SEARCH_NODE_LIMIT units
+    GuardError search_nodes counts them as ``what``.
     """
     r = len(sigmas)
     cap = start[0].bit_count() + r + 1
     found = None
 
     def rec(lo, idx, sig, alf, comps):
-        nonlocal cap, found
+        nonlocal cap, found, spent
         size = idx.bit_count() + 1
+        units = r - size if pair_tests else 1
         for j in range(lo, r):
             if size >= cap:
                 return
+            spent += units
+            if spent > SEARCH_NODE_LIMIT:
+                check_limit("search_nodes", spent, SEARCH_NODE_LIMIT, what)
             g = sigmas[j]
             merged = g
             rest = []
@@ -126,7 +127,7 @@ def _walk(sigmas, alphas, visit, start=(0, 0, 0, ())):
                 rec(j + 1, nidx, nsig, nalf, rest)
 
     rec(0, *start)
-    return found
+    return found, spent
 
 
 def _names(idx: int, sets) -> list:
@@ -144,7 +145,6 @@ def check_intersection_property(assign: AlphaAssignment,
     """
     if mode not in (LITERAL, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_scan_size(len(assign))
     sigmas, alphas = assign.sigmas, assign.alphas
     sig_masks, alf_masks = _bitmasks(sigmas, alphas)
 
@@ -164,7 +164,8 @@ def check_intersection_property(assign: AlphaAssignment,
                         "alpha_intersection": inter_a.bit_count(),
                         "sigma_intersection": inter_s.bit_count()}
 
-    found = _walk(sig_masks, alf_masks, visit)
+    found, _ = _walk(sig_masks, alf_masks, visit,
+                     "pair tests by the intersection scan", pair_tests=True)
     return report("intersection_property", not found, witness=found, mode=mode)
 
 
@@ -179,12 +180,12 @@ def _invariant_by_state(sigmas, alphas) -> bool:
     |sigma_j minus the components it meets| - 1 + (components it joins) and
     |alpha_j minus alpha_I|, which the state decides, so every I is checked
     when its largest pair is added, and every state kept holds for its
-    subsets.  False means a failing I, or more than r * 2^ceil(r/2) states
-    to sum (a failure seen only at a late pair can keep every subset
-    apart); either way the walker decides.
+    subsets.  False means a failing I, or more than min(r * 2^ceil(r/2),
+    STATE_LIMIT) states to sum (a failure seen only at a late pair can keep
+    every subset apart); either way the walker decides.
     """
     r = len(sigmas)
-    limit = r << (r + 1) // 2
+    limit = min(r << (r + 1) // 2, STATE_LIMIT)
     states = {((), 0)}  # (live components of sigma_I, live alpha_I)
     summed = 0
     for g, a, live, live_a in zip(sigmas, alphas, _later_unions(sigmas),
@@ -225,7 +226,6 @@ def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
     Decided over live states; only an assignment they do not prove is
     walked, to name its smallest, lexicographically first failing I.
     """
-    _check_scan_size(len(assign))
     masks = _bitmasks(assign.sigmas, assign.alphas)
     if _invariant_by_state(*masks):
         return report("target_invariant", True)
@@ -236,7 +236,7 @@ def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
                     "sigma_union_size": sig.bit_count(), "components": len(comps),
                     "alpha_union_size": alf.bit_count()}
 
-    found = _walk(*masks, visit)
+    found, _ = _walk(*masks, visit, "subsets walked by the target invariant")
     return report("target_invariant", not found, witness=found)
 
 
@@ -244,8 +244,10 @@ def is_apex_assignment(assign: AlphaAssignment) -> bool:
     """Every sigma_i = alpha_i plus one shared vertex absent from all alphas.
 
     This pattern satisfies the target invariant at any size (every pair of
-    sigmas meets at the apex, so c(I) = 1 and unions grow by exactly one),
-    which matters when the assignment is too large for the exhaustive scan.
+    sigmas meets at the apex, so c(I) = 1 and unions grow by exactly one).
+    It is a speed shortcut: on the 792-pair apex lift of U(12,6) it takes
+    under a millisecond, where the state pass gives up after 0.3 s and the
+    walk is refused on search_nodes after about 11 s.
     """
     if not assign.pairs:
         return True
@@ -264,31 +266,28 @@ def search_alpha(family: NonfaceFamily) -> AlphaAssignment | None:
     passes (NOT_FOUND is a value, not an error).  After fixing alpha_i the
     search walks the subsets whose largest index is i and backtracks at the
     first failure, so it returns the first passing assignment in product
-    order.  Every subset walked counts against SEARCH_NODE_LIMIT.
+    order.  Its walks share one count of subsets against SEARCH_NODE_LIMIT.
     """
     gens = family.generators
     r = len(gens)
-    _check_scan_size(r)
     candidates = [sorted(tuple(sorted(set(g) - {x})) for x in g) for g in gens]
     sigmas, *candidate_masks = _bitmasks(gens, *candidates)
-    alphas, chosen, nodes = [0] * r, [()] * r, 0
+    alphas, chosen, spent = [0] * r, [()] * r, 0
 
     def fails(idx, sig, alf, comps):
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_LIMIT:  # one comparison per subset walked
-            check_limit("search_nodes", nodes, SEARCH_NODE_LIMIT,
-                        "subsets walked by the alpha search")
         return sig.bit_count() - len(comps) != alf.bit_count()
 
     def place(i):
+        nonlocal spent
         if i == r:
             return True
         for m, a in zip(candidate_masks[i], candidates[i]):
             alphas[i], chosen[i] = m, a
             # I = {i} holds by construction: |alpha_i| = |sigma_i| - 1
             start = (1 << i, sigmas[i], m, [sigmas[i]])
-            if not _walk(sigmas[:i], alphas[:i], fails, start) and place(i + 1):
+            failed, spent = _walk(sigmas[:i], alphas[:i], fails,
+                                  "subsets walked by the alpha search", start, spent)
+            if not failed and place(i + 1):
                 return True
         return False
 

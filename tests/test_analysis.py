@@ -6,7 +6,7 @@ from functools import cached_property
 
 import pytest
 
-from simpchrom import complexes, report, sweep
+from simpchrom import auxiliary, complexes, report, sweep
 from simpchrom.analysis import (dehn_sommerville_check, log_concavity_report,
                                 octahedron_boundary, reciprocity_report,
                                 uniform_matroid_complex)
@@ -110,7 +110,8 @@ def test_state_work_on_the_direct_route_is_not_applicable(monkeypatch):
 
 def _refused_u74_assignment():
     """The apex lift of U(7,4), 21 pairs, with one alpha that keeps q and
-    drops a v: no longer apex-shaped, so only the scan could decide it."""
+    drops a v: no longer apex-shaped, so only the target invariant decides
+    it."""
     s, assign = lift_with_apex(uniform_matroid_complex(7, 4))
     (sigma, alpha), *rest = assign.pairs
     return s, AlphaAssignment(((sigma, sigma - {max(alpha)}), *rest))
@@ -126,14 +127,20 @@ def _chromatic_by_the_direct_route(rep, s, reason):
     assert subs["chromatic_translate"]["verdict"] != "NOT_APPLICABLE"
 
 
-def test_a_refused_assignment_falls_back_to_the_direct_route():
+def test_a_refused_assignment_falls_back_to_the_direct_route(monkeypatch):
     s, changed = _refused_u74_assignment()
     rep = log_concavity_report(s, changed)
-    _chromatic_by_the_direct_route(rep, s, "21 pairs to scan exceed the 20 limit")
+    _chromatic_by_the_direct_route(rep, s, "assignment fails the target invariant")
+    # the failing I is {0, 3}; the walker visits {0} and refuses {0, 1}
+    monkeypatch.setattr(auxiliary, "SEARCH_NODE_LIMIT", 1)
+    refused = log_concavity_report(s, changed)
+    _chromatic_by_the_direct_route(
+        refused, s, "2 subsets walked by the target invariant exceed the 1 limit")
     # the same verdicts as without an assignment
     plain = log_concavity_report(s)
     assert plain.details["chromatic_route"] == "direct"
-    assert rep.details["sub_results"] == plain.details["sub_results"]
+    assert (rep.details["sub_results"] == refused.details["sub_results"]
+            == plain.details["sub_results"])
 
 
 def test_an_assignment_failing_the_invariant_falls_back_to_the_direct_route():

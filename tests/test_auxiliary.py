@@ -415,55 +415,46 @@ def test_window_low_coefficient_is_never_large():
     assert found == []
 
 
-def test_target_invariant_guard():
-    pairs = tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(21))
-    with pytest.raises(GuardError):
-        check_target_invariant(AlphaAssignment(pairs))
+def disjoint_pairs(r):
+    return tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(r))
+
+
+def test_the_state_pass_proves_21_disjoint_pairs(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the state pass left 21 disjoint pairs to the walker")
+
+    monkeypatch.setattr(auxiliary, "_walk", no_walk)
+    assert check_target_invariant(AlphaAssignment(disjoint_pairs(21))).passed
+
+
+# Three pairs take 7 subsets, or 3 * 2 + 3 * 1 pair tests outside I, so at
+# that limit three pairs pass and four are refused at the next unit.
+WALK_BOUNDS = {"check_intersection_property": (9, "pair tests by the intersection scan"),
+               "check_target_invariant": (7, "subsets walked by the target invariant")}
 
 
 @pytest.mark.parametrize("check", [check_intersection_property,
                                    check_target_invariant])
-def test_the_walker_refuses_a_full_scan_before_its_first_visit(check, monkeypatch):
-    visits, witnesses, verdicts, masks = [], [], [], []
-    walk, by_state, bitmasks = (auxiliary._walk, auxiliary._invariant_by_state,
-                                auxiliary._bitmasks)
-
-    def counting_walk(sigmas, alphas, visit, *start):
-        def counted(*state):
-            visits.append(state)
-            return visit(*state)
-        witnesses.append(walk(sigmas, alphas, counted, *start))
-        return witnesses[-1]
-
-    def counting_states(*args):
-        verdicts.append(by_state(*args))
-        return verdicts[-1]
-
-    def counting_masks(*families):
-        masks.append(families)
-        return bitmasks(*families)
-
-    monkeypatch.setattr(auxiliary, "_walk", counting_walk)
-    monkeypatch.setattr(auxiliary, "_invariant_by_state", counting_states)
-    monkeypatch.setattr(auxiliary, "_bitmasks", counting_masks)
-    monkeypatch.setattr(auxiliary, "SUBSET_SCAN_LIMIT", 3)
-    pairs = tuple((fs(f"a{i}", f"b{i}"), fs(f"a{i}")) for i in range(4))
+def test_each_walk_refuses_the_unit_past_its_bound(check, monkeypatch):
+    limit, what = WALK_BOUNDS[check.__name__]
+    monkeypatch.setattr(auxiliary, "SEARCH_NODE_LIMIT", limit)
+    # the state pass proves disjoint pairs; without it the walker decides
+    monkeypatch.setattr(auxiliary, "_invariant_by_state", lambda *masks: False)
+    pairs = disjoint_pairs(4)
     with pytest.raises(GuardError) as exc:
         check(AlphaAssignment(pairs))
     err = exc.value
     assert (err.limit, err.measured, err.bound, str(err)) == (
-        "assignment_size", 4, 3, "4 pairs to scan exceed the 3 limit")
-    assert (visits, verdicts, masks) == ([], [], [])
+        "search_nodes", limit + 1, limit,
+        f"{limit + 1} {what} exceed the {limit} limit")
     assert check(AlphaAssignment(pairs[:3])).passed
-    if check is check_target_invariant:
-        # the state pass proves it, so the walker never runs
-        assert (visits, verdicts) == ([], [True])
-    else:
-        assert len(visits) == 7
     # alpha_2 = alpha_0 with sigma_2 disjoint from sigma_0: the walker names
-    # the failing I
-    rep = check(AlphaAssignment(pairs[:2] + ((fs("a2", "b2"), fs("a0")),)))
-    assert not rep.passed and visits and rep.witness == witnesses[-1]
+    # the failing I within the bound
+    assign = AlphaAssignment(pairs[:2] + ((fs("a2", "b2"), fs("a0")),))
+    rep = check(assign)
+    brute = (brute_target_invariant(assign) if check is check_target_invariant
+             else brute_intersection_property(assign, LITERAL))
+    assert not rep.passed and rep.witness == brute
 
 
 def ladder_antichain(r, n=12):
@@ -549,12 +540,27 @@ def test_the_state_pass_alone_decides_the_lattice_ladder(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the state pass left a ladder lift to the walker")
 
-    monkeypatch.setattr(auxiliary, "_walk", no_walk)
-    for r in range(12, 21):
-        S, assign = lift_with_apex(SC.from_minimal_nonfaces(*ladder_antichain(r)))
-        proved, summed = state_pass(assign, monkeypatch)
-        assert len(assign) == r and proved and summed <= 1605
-        assert check_target_invariant(assign).passed
+    # r = 12..75 is every step the lattice ladder takes before its cap; the
+    # largest sum is at r = 71
+    with monkeypatch.context() as m:
+        m.setattr(auxiliary, "_walk", no_walk)
+        for r in range(12, 76):
+            S, assign = lift_with_apex(SC.from_minimal_nonfaces(*ladder_antichain(r)))
+            proved, summed = state_pass(assign, monkeypatch)
+            assert len(assign) == r and proved and summed <= 47_672
+            assert check_target_invariant(assign).passed
+    # the adversarial family at 30 pairs: 29 disjoint pairs double the live
+    # states at each step, and only the last pair, joining all x's, fails
+    xs = [f"x{i:02d}" for i in range(29)]
+    assign = AlphaAssignment(tuple((fs(x, f"z{x[1:]}"), fs(x)) for x in xs) + (
+        (frozenset(xs), frozenset(xs[1:])),))
+    monkeypatch.setattr(auxiliary, "STATE_LIMIT", 2 ** 12)
+    proved, summed = state_pass(assign, monkeypatch)
+    # 2^k - 1 states summed after k pairs, and the next step passes the cap
+    assert not proved and summed == 2 ** 12 - 1
+    rep = check_target_invariant(assign)
+    assert rep.witness == brute_target_invariant(assign, max_size=2)
+    assert rep.witness["I"] == [["x01", "z01"], xs]
 
 
 def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
@@ -576,8 +582,8 @@ def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
 
 # -- brute-force references: every subset, by size then lexicographically --
 
-def first_failure(r, fails):
-    for k in range(1, r + 1):
+def first_failure(r, fails, max_size=None):
+    for k in range(1, (max_size or r) + 1):
         for idx in combinations(range(r), k):
             witness = fails(idx)
             if witness is not None:
@@ -589,7 +595,7 @@ def union(sets):
     return frozenset().union(*sets)
 
 
-def brute_target_invariant(assign):
+def brute_target_invariant(assign, max_size=None):
     sigmas, alphas = assign.sigmas, assign.alphas
 
     def fails(idx):
@@ -599,7 +605,7 @@ def brute_target_invariant(assign):
             return {"I": [sorted(s) for s in chosen], "sigma_union_size": len(sig),
                     "components": c, "alpha_union_size": len(alf)}
 
-    return first_failure(len(assign), fails)
+    return first_failure(len(assign), fails, max_size)
 
 
 def brute_intersection_property(assign, mode):

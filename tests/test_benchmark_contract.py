@@ -45,8 +45,8 @@ def test_residue_labelings_and_detector_details(labeling):
 
 
 def test_apex_lift_report_takes_the_identity_route():
-    # the closure op's path: past the 20-pair scan, the apex shape vouches
-    # for the assignment
+    # the closure op's path: the apex shape vouches for the 210-pair
+    # assignment without the state pass
     L, assign = lift_with_apex(uniform_matroid_complex(10, 5))
     rep = log_concavity_report(L, assign)
     assert len(assign) == 210

@@ -92,13 +92,13 @@ FILES = {
     "u16-4.json": {"vertices": [f"v{i:02d}" for i in range(16)],
                    "facets": [list(c) for c in combinations(
                        [f"v{i:02d}" for i in range(16)], 4)]},
-    # the apex lift of U(7,4): 21 nonfaces, past the 20-pair subset scan
-    # limit, which verify-cc and hilb-window no longer run
+    # the apex lift of U(7,4): 21 nonfaces; verify-cc and hilb-window decide
+    # c(I) = a from pairs of them
     "u7-4-apex.json": {"vertices": [f"v{i}" for i in range(1, 8)] + ["q"],
                        "minimal_nonfaces": [list(c) + ["q"] for c in combinations(
                            [f"v{i}" for i in range(1, 8)], 5)]},
     # the apex assignment of u7-4-apex.json with one alpha that keeps q and
-    # drops v5: not apex-shaped, and 21 pairs are past the scan limit
+    # drops v5: not apex-shaped, and it fails the target invariant
     "u7-4-apex-alpha-not-apex.json": [
         {"sigma": list(c) + ["q"],
          "alpha": list(c) if i else list(c[:-1]) + ["q"]}
@@ -308,7 +308,7 @@ DIGESTS = {
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-alpha-guard":
-        "8af43a80fae2c444e1a6cd3d1789e3b33dc413410bb297877d304a27ac495495",
+        "bdd293fa1e0cb6971a7851f3d2e35e78642beac9a9f40b74a1d0173dc304d878",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
     "logconcavity-nonface-guard":
