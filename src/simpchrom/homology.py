@@ -1,47 +1,79 @@
 """Integer simplicial homology of the reduced (augmented) chain complex.
 
 Boundary operators are exact integer matrices over lexicographically ordered
-faces, built once as tuple rows; ranks and torsion come from a Smith normal
-form computed by exact elimination over sparse rows.  Boundary entries are
-0 and +-1, so nearly every pivot is a unit and the rows stay short.  No
-modular tricks.  The face-count and SNF size guards read the face counts
-alone: ``boundary_matrix`` checks them before a matrix is allocated, and
+faces, built column by column into sparse rows; ranks and torsion come from
+a Smith normal form computed by exact elimination over the sparse lines of
+the shorter side.  Boundary entries are 0 and +-1, so nearly every pivot is
+a unit and the lines stay short.  No modular tricks, and no dense row: a
+matrix builds its dense ``entries`` only when a caller reads them.  The
+face-count and SNF size guards read the face counts alone:
+``boundary_matrix`` checks them before a matrix is built, and
 ``reduced_homology`` checks every degree before its first SNF.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 
-from .complexes import SimplicialComplex, _bits
+from .complexes import SimplicialComplex
 from .report import check_limit
 
 FACE_COUNT_LIMIT = 5000
 SNF_DIMENSION_LIMIT = 500
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    entries: tuple[tuple[int, ...], ...]
+    """An exact integer matrix, held as sparse rows.
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.entries))  # tuple rows are kept as they are
+    ``sparse_rows[i]`` holds the (column, entry) pairs of row i's nonzeros,
+    by column.  The constructor takes dense rows of ints; ``entries`` gives
+    them back, and on a matrix built sparse it builds them on first read.
+    """
+
+    def __init__(self, entries):
+        rows = tuple(map(tuple, entries))  # tuple rows are kept as they are
         if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
             raise TypeError("matrix entries must be int")
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", rows)
+        self.nrows, self.ncols = len(rows), widths.pop() if widths else 0
+        self.sparse_rows = tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                                 for r in rows)
+        self.entries = rows  # the dense view, already built
 
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def _sparse(cls, sparse_rows, ncols: int) -> IntegerMatrix:
+        M = cls.__new__(cls)
+        M.nrows, M.ncols, M.sparse_rows = len(sparse_rows), ncols, sparse_rows
+        return M
 
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, as tuples of ints."""
+        out = []
+        for line in self.sparse_rows:
+            row = [0] * self.ncols
+            for j, x in line:
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+    def _key(self):
+        return self.nrows, self.ncols, self.sparse_rows
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"IntegerMatrix({self.entries!r})"
 
 
 def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
@@ -49,24 +81,24 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
 
     Rows index (k-1)-faces, columns index k-faces, both in the order of
     ``S.faces_by_size``; the k = 0 map sends every vertex to the empty face
-    (reduced augmentation row of ones).  The entry at (m, m + v) is (-1) to
-    the number of vertices of m below v.
+    (reduced augmentation row of ones).  Column c has the entry +-1 at row
+    c - v for each vertex v of c, the sign alternating +, -, ... as v runs
+    up the vertices of c: (-1) to the number of vertices of c below v.  So
+    a column costs k + 1 lookups, and no dense row is allocated.
     """
     if k < 0 or k > S.dimension:
         raise ValueError(f"degree {k} outside 0..{S.dimension}")
     rows, cols = S.faces_by_size[k], S.faces_by_size[k + 1]
     _check_boundary_size(len(rows), len(cols))
-    col_index = {m: j for j, m in enumerate(cols)}
-    full = (1 << S.n) - 1
-    out = []
-    for m in rows:
-        row = [0] * len(cols)
-        for v in _bits(full & ~m):
-            j = col_index.get(m | 1 << v)
-            if j is not None:
-                row[j] = -1 if (m & ((1 << v) - 1)).bit_count() & 1 else 1
-        out.append(tuple(row))
-    return IntegerMatrix(tuple(out))
+    row_index = {m: i for i, m in enumerate(rows)}
+    out = [[] for _ in rows]
+    for j, c in enumerate(cols):
+        sign, rest = 1, c
+        while rest:
+            low = rest & -rest
+            out[row_index[c ^ low]].append((j, sign))
+            sign, rest = -sign, rest ^ low
+    return IntegerMatrix._sparse(tuple(map(tuple, out)), len(cols))
 
 
 def _check_boundary_size(nrows: int, ncols: int) -> None:
@@ -77,7 +109,7 @@ def _check_boundary_size(nrows: int, ncols: int) -> None:
 
 
 def _check_snf_size(nrows: int, ncols: int) -> None:
-    """Bounds the dense matrix that ``boundary_matrix`` allocates."""
+    """Bounds the short side of a matrix, the lines the SNF eliminates over."""
     check_limit("matrix_size", min(nrows, ncols), SNF_DIMENSION_LIMIT,
                 "lines on the short side of an SNF matrix")
 
@@ -85,16 +117,24 @@ def _check_snf_size(nrows: int, ncols: int) -> None:
 def smith_normal_form(M: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero diagonal invariants d_1 | d_2 | ... of M; their count is the rank.
 
-    Rows are held as {column: entry} dicts of their nonzeros.  Each step
-    pivots on an entry of least absolute value, the first unit found, and
-    clears its column by row operations.  Once the column is clear, column
-    operations touch only the pivot row, which is reduced modulo the pivot;
-    a row left holding only its pivot gives one diagonal entry.  Every
-    remainder is smaller than its pivot, so the loop ends.
+    The transpose has the same invariants, so the elimination runs over the
+    lines of the shorter side, each held as an {index: entry} dict of its
+    nonzeros; below, a line is a row.  Each step pivots on an entry of least
+    absolute value, the first unit found, and clears its column by row
+    operations.  Once the column is clear, column operations touch only the
+    pivot row, which is reduced modulo the pivot; a row left holding only
+    its pivot gives one diagonal entry.  Every remainder is smaller than its
+    pivot, so the loop ends.
     """
     _check_snf_size(M.nrows, M.ncols)
-    rows = [r for r in ({j: x for j, x in enumerate(row) if x}
-                        for row in M.entries) if r]
+    if M.nrows <= M.ncols:
+        rows = [dict(line) for line in M.sparse_rows if line]
+    else:
+        columns = [{} for _ in range(M.ncols)]
+        for i, line in enumerate(M.sparse_rows):
+            for j, x in line:
+                columns[j][i] = x
+        rows = [c for c in columns if c]
     diagonal = []
     while rows:
         least = None

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from simpchrom import (CyclotomicSpec, SimplicialComplex,
-                       check_constant_term_detection, chromatic_polynomial,
-                       lift_with_apex, log_concavity_report,
-                       uniform_matroid_complex, verify_main_theorem)
+from simpchrom import (CyclotomicSpec, SimplicialComplex, boundary_matrix,
+                       build_residue_subcomplex, check_constant_term_detection,
+                       chromatic_polynomial, lift_with_apex,
+                       log_concavity_report, uniform_matroid_complex,
+                       verify_main_theorem)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -42,6 +43,21 @@ def test_residue_labelings_and_detector_details(labeling):
     rep = check_constant_term_detection(spec, 2)
     assert rep.details["coefficient"] == 0
     assert len(rep.details["h_vector"]) == 3
+
+
+def test_boundary_matrices_read_as_dense_rows():
+    # the homology op ranks each boundary matrix over GF(p) from its dense
+    # entries, which the library builds from its sparse rows on first read
+    T = build_residue_subcomplex(CyclotomicSpec((3, 5, 7)), {7})
+    for S in (T, uniform_matroid_complex(9, 4)):
+        for k in range(S.dimension + 1):
+            B = boundary_matrix(S, k)
+            rows = B.entries
+            assert type(rows) is tuple and len(rows) == B.nrows
+            assert all(type(r) is tuple and len(r) == B.ncols for r in rows)
+            assert all(type(x) is int for r in rows for x in r)
+            assert [tuple((j, x) for j, x in enumerate(r) if x) for r in rows] \
+                == list(B.sparse_rows)
 
 
 def test_apex_lift_report_takes_the_identity_route():

@@ -166,6 +166,22 @@ def test_torsion_experiment_full_sweep_3_5():
             assert actual["0"] == [1, []] and actual["1"] == [1, []]
 
 
+@pytest.mark.parametrize("primes", [(3, 5, 7), (2, 3, 5, 7)])
+def test_every_one_based_residue_matches_the_coefficient_theorem(primes):
+    spec = CyclotomicSpec(primes)
+    reports = [check_cyclotomic_homology(spec, j) for j in range(spec.phi + 1)]
+    assert len(reports) == 49
+    assert [r.details["degree"] for r in reports if not r.passed] == []
+    # the 49 residues reach Z/2 torsion and both top classes of c_j = 0
+    seen = {}
+    for r in reports:
+        seen.setdefault(abs(r.details["coefficient"]), r.details["actual"])
+    top, below = str(spec.d - 1), str(spec.d - 2)
+    assert sorted(seen) == [0, 1, 2]
+    assert seen[2][below] == [0, [2]] and seen[2][top] == [0, []]
+    assert seen[0][below] == [1, []] and seen[0][top] == [1, []]
+
+
 def test_residue_homology_has_exactly_the_expected_degrees():
     # every residue complex keeps the transversal facet of its residue, so
     # it has dimension d-1 and its homology the degrees 0..d-1 that the

@@ -10,12 +10,13 @@ import pytest
 from simpchrom import complexes, homology
 from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.complexes import SimplicialComplex
+from simpchrom.cyclotomic import CyclotomicSpec, check_constant_term_detection
 from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology,
                                 smith_normal_form)
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
-from oracles import points_complex
+from oracles import face_groups, points_complex
 
 SC = SimplicialComplex
 
@@ -56,6 +57,37 @@ def test_boundary_matrix_shapes_and_signs():
     for k in (-1, 2):
         with pytest.raises(ValueError, match=f"degree {k} outside 0..1"):
             boundary_matrix(tri, k)
+
+
+def _labelled_boundary(s, k):
+    """d_k built from the face labels alone: column c has (-1)^i at the row
+    of c without its i-th vertex."""
+    groups = face_groups(s)
+    rows, cols = groups[k], groups[k + 1]
+    index = {f: i for i, f in enumerate(rows)}
+    out = [[0] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        for i in range(len(c)):
+            out[index[c[:i] + c[i + 1:]]][j] = (-1) ** i
+    return IntegerMatrix(tuple(map(tuple, out)))
+
+
+def test_boundary_matrix_matches_the_labelled_oracle():
+    rng = random.Random(23)
+    samples = [octahedron(), triangle_boundary(), points_complex("ab"),
+               SC.from_facets("123456", PROJECTIVE_PLANE_FACETS),
+               SC.from_minimal_nonfaces("abcd", [("c",), ("a", "b")], relaxed=True)]
+    for _ in range(30):
+        s = random_complex(rng, n_max=7)
+        samples.append(s)
+        samples.append(SC.from_facets(s.vertices + ("bb", "zz"), s.facets,
+                                      relaxed=True))
+    for s in samples:
+        for k in range(s.dimension + 1):
+            oracle = _labelled_boundary(s, k)
+            built = boundary_matrix(s, k)
+            assert built == oracle and hash(built) == hash(oracle)
+            assert built.entries == oracle.entries
 
 
 def test_boundary_squared_is_zero():
@@ -128,6 +160,31 @@ def test_smith_normal_form_random_properties():
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
         assert all(d > 0 for d in inv)
+
+
+def test_smith_normal_form_of_the_transpose():
+    # the elimination runs over the shorter side, so a matrix and its
+    # transpose take different routes to the same invariants
+    rng = random.Random(19)
+    projective = SC.from_facets("123456", PROJECTIVE_PLANE_FACETS)
+    cases = [((0, 0, 0), (0, 0, 0)), ((2, 0, 0, 0), (0, 4, 0, 6)),
+             boundary_matrix(projective, 2).entries]  # 15 x 10, Z/2 torsion
+    for trial in range(120):
+        rows, cols = rng.choice([(1, 6), (2, 7), (3, 9), (5, 5), (4, 8)])
+        if trial % 2:
+            rows, cols = cols, rows
+        zeros = rng.random()
+        scale = rng.choice((1, 1, 2, 3, 6))  # every invariant a multiple
+        cases.append(tuple(
+            tuple(0 if rng.random() < zeros else scale * rng.randint(-5, 5)
+                  for _ in range(cols)) for _ in range(rows)))
+    torsion = 0
+    for rows in cases:
+        inv = smith_normal_form(IntegerMatrix(rows))
+        assert smith_normal_form(IntegerMatrix(tuple(zip(*rows)))) == inv, rows
+        torsion += any(d > 1 for d in inv)
+    assert smith_normal_form(IntegerMatrix(cases[2])) == (1,) * 9 + (2,)
+    assert torsion > 30
 
 
 def _det(rows):
@@ -283,16 +340,34 @@ def test_matrix_size_guard_fires_before_the_matrix_is_built(monkeypatch):
     u = uniform_matroid_complex(16, 4)
     assert boundary_matrix(u, 2).nrows == 120  # 120 x 560: short side 120
 
-    def unbuilt(entries):
-        raise AssertionError("boundary matrix allocated past the SNF limit")
+    class Unbuilt(IntegerMatrix):
+        # every constructor, dense or sparse, makes its matrix through __new__
+        def __new__(cls, *args):
+            raise AssertionError("boundary matrix allocated past the SNF limit")
 
-    monkeypatch.setattr(homology, "IntegerMatrix", unbuilt)
+    monkeypatch.setattr(homology, "IntegerMatrix", Unbuilt)
+    with pytest.raises(AssertionError, match="allocated"):
+        boundary_matrix(u, 2)  # the stand-in catches a build under the limit
     with pytest.raises(GuardError) as exc:
         boundary_matrix(u, 3)  # 560 x 1820
     err = exc.value
     assert (err.limit, err.measured, err.bound, str(err)) == (
         "matrix_size", 560, 500,
         "560 lines on the short side of an SNF matrix exceed the 500 limit")
+
+
+def test_the_homology_path_never_builds_dense_rows(monkeypatch):
+    def dense(M):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(IntegerMatrix, "entries", property(dense))
+    with pytest.raises(AssertionError, match="dense rows built"):
+        boundary_matrix(octahedron(), 1).entries
+    assert reduced_homology(octahedron())[2] == (1, ())
+    assert reduced_homology(SC.from_facets("123456", PROJECTIVE_PLANE_FACETS))[1] \
+        == (0, (2,))
+    assert reduced_homology(uniform_matroid_complex(9, 4))[3] == (70, ())
+    assert check_constant_term_detection(CyclotomicSpec((3, 5, 7)), 7).passed
 
 
 def test_reduced_homology_guards_fire_before_any_snf(monkeypatch):
