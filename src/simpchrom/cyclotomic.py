@@ -2,20 +2,19 @@
 
 The polynomial oracle multiplies and exactly divides (x^(n/d) - 1) factors
 over the squarefree divisors d of n, the only ones with a nonzero Moebius
-value; the last few Phi_n are kept, so each is computed once.  The complex
-builder joins one discrete vertex group per prime; facets of the join are
-transversals and correspond to residues mod the product by CRT.  A
-subcomplex keeps the codimension-one skeleton plus a chosen set of facets.
-The chosen index set names residues one-based by default: the one labeling
-under which the homology matches the coefficient theorem on every residue
-checked.  The zero-based labeling stays selectable as the recorded
-counter-example.
+value; a spec computes its Phi_n once.  The complex builder joins one discrete
+vertex group per prime; facets of the join are transversals and correspond
+to residues mod the product by CRT.  A subcomplex keeps the codimension-one
+skeleton plus a chosen set of facets.  The chosen index set names residues
+one-based by default: the one labeling under which the homology matches the
+coefficient theorem on every residue checked.  The zero-based labeling stays
+selectable as the recorded counter-example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from math import prod
 
@@ -49,14 +48,11 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == {p: 1}
 
 
-@lru_cache(maxsize=16)
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """Phi_n as the product of (x^(n/d) - 1)^mu(d); degree phi(n).
 
     Only squarefree d have mu(d) != 0: d is the product of a set of the
-    primes of n, and mu(d) is -1 to the size of that set.  The last few
-    results are kept: an ``IntPolynomial`` is immutable, and the detectors
-    ask for the same Phi_n on every residue.
+    primes of n, and mu(d) is -1 to the size of that set.
     """
     if n < 1:
         raise ValueError("n must be positive")

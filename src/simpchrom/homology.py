@@ -13,6 +13,7 @@ face-count and SNF size guards read the face counts alone:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
@@ -24,6 +25,7 @@ FACE_COUNT_LIMIT = 5000
 SNF_DIMENSION_LIMIT = 500
 
 
+@dataclass(frozen=True, init=False)
 class IntegerMatrix:
     """An exact integer matrix, held as sparse rows.
 
@@ -32,6 +34,9 @@ class IntegerMatrix:
     them back, and on a matrix built sparse it builds them on first read.
     """
 
+    sparse_rows: tuple[tuple[tuple[int, int], ...], ...]
+    ncols: int
+
     def __init__(self, entries):
         rows = tuple(map(tuple, entries))  # tuple rows are kept as they are
         if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
@@ -39,16 +44,21 @@ class IntegerMatrix:
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-        self.nrows, self.ncols = len(rows), widths.pop() if widths else 0
-        self.sparse_rows = tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                                 for r in rows)
-        self.entries = rows  # the dense view, already built
+        object.__setattr__(self, "sparse_rows", tuple(
+            tuple((j, x) for j, x in enumerate(r) if x) for r in rows))
+        object.__setattr__(self, "ncols", widths.pop() if widths else 0)
+        object.__setattr__(self, "entries", rows)  # the dense view, already built
 
     @classmethod
     def _sparse(cls, sparse_rows, ncols: int) -> IntegerMatrix:
         M = cls.__new__(cls)
-        M.nrows, M.ncols, M.sparse_rows = len(sparse_rows), ncols, sparse_rows
+        object.__setattr__(M, "sparse_rows", sparse_rows)
+        object.__setattr__(M, "ncols", ncols)
         return M
+
+    @property
+    def nrows(self) -> int:
+        return len(self.sparse_rows)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -60,20 +70,6 @@ class IntegerMatrix:
                 row[j] = x
             out.append(tuple(row))
         return tuple(out)
-
-    def _key(self):
-        return self.nrows, self.ncols, self.sparse_rows
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.entries!r})"
 
 
 def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:

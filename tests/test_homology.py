@@ -1,6 +1,7 @@
 """Boundary matrices, Smith normal form, and reduced homology."""
 
 import random
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain, combinations
 from math import gcd
@@ -41,6 +42,17 @@ def test_integer_matrix_validation():
     assert IntegerMatrix(((True, 0),)).entries == ((1, 0),)
     rows = ((1, 0), (0, 1))
     assert all(a is b for a, b in zip(IntegerMatrix(rows).entries, rows))
+
+
+def test_integer_matrix_is_frozen_and_one_value_across_constructors():
+    B = boundary_matrix(octahedron(), 1)  # built sparse
+    D = IntegerMatrix(B.entries)  # the same matrix, built dense
+    assert B == D and hash(B) == hash(D) and B.sparse_rows == D.sparse_rows
+    assert {B: 1}[D] == 1
+    for field in ("sparse_rows", "ncols", "nrows"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(B, field, ())
+    assert B != IntegerMatrix(((0,) * 12,) * 6)  # same shape, no entries
 
 
 def test_boundary_matrix_shapes_and_signs():
