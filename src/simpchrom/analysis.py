@@ -10,8 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .auxiliary import (AlphaAssignment, auxiliary_complex, check_target_invariant,
-                        is_apex_assignment, require_matching_sigmas,
-                        verify_main_theorem)
+                        require_matching_sigmas, verify_main_theorem)
 from .chromatic import chromatic_polynomial
 from .complexes import SimplicialComplex
 from .hilbert import h_vector, numerator_from_h
@@ -46,17 +45,18 @@ def octahedron_boundary() -> SimplicialComplex:
 def _chromatic_if_possible(S, assign):
     """chi_c and its route: through the reversed-numerator identity when an
     assignment is given and passes the target invariant, else directly.
-    When the assignment cannot vouch for the identity, the route is
-    "direct (<why>)".  When the direct sum is refused, chi_c is None and the
-    route is the guard's own message.
+    ``check_target_invariant`` alone decides the invariant; it passes an
+    apex lift of any size in O(r).  When the assignment cannot vouch for
+    the identity, the route is "direct (<why>)".  When the direct sum is
+    refused, chi_c is None and the route is the guard's own message.
 
     An assignment whose sigmas are not the minimal nonfaces of S is a
     ValueError: its identity would describe another complex."""
     route = "direct"
     if assign is not None:
         require_matching_sigmas(S, assign)
-        try:  # the apex shape passes the invariant at any size, unscanned
-            valid = is_apex_assignment(assign) or check_target_invariant(assign).passed
+        try:
+            valid = check_target_invariant(assign).passed
             why = "assignment fails the target invariant"
         except GuardError as exc:
             valid, why = False, str(exc)

@@ -12,12 +12,12 @@ built from T's facets with no dualization; the disjoint lift gives S by its
 sigmas alone.  Both lifts hand T, on the union of the alphas, to the
 assignment they return; only an assignment that comes in has its alphas
 checked by ``auxiliary_complex``.  The
-target invariant is decided over live states, as chi_c is summed: the
-subsets I that share their live components and live alpha union share
-every later step.  A depth-first walker, which carries the unions and
-components of sigma_I as bitmasks, names its smallest, lexicographically
-first failing I, and runs the intersection scan and the backtracking alpha
-search.
+target invariant passes the apex shape at once, and is otherwise decided
+over live states, as chi_c is summed: the subsets I that share their live
+components and live alpha union share every later step.  A depth-first
+walker, which carries the unions and components of sigma_I as bitmasks,
+names its smallest, lexicographically first failing I, and runs the
+intersection scan and the backtracking alpha search.
 """
 
 from __future__ import annotations
@@ -220,18 +220,29 @@ def _invariant_by_state(sigmas, alphas) -> bool:
     return True
 
 
+def _fails_invariant(idx, sig, alf, comps) -> bool:
+    """|union sigma_I| - c(I) != |union alpha_I|: a walker visitor."""
+    return sig.bit_count() - len(comps) != alf.bit_count()
+
+
 def check_target_invariant(assign: AlphaAssignment) -> CheckReport:
     """|union sigma_I| - c(I) = |union alpha_I| for every nonempty I.
 
-    Decided over live states; only an assignment they do not prove is
-    walked, to name its smallest, lexicographically first failing I.
+    The apex shape passes at once, in O(r) (``is_apex_assignment``); any
+    other assignment is decided over live states, and only one they do not
+    prove is walked, to name its smallest, lexicographically first failing
+    I.  So only a passing non-apex assignment whose state pass gives up
+    pays the walk, and a walk past SEARCH_NODE_LIMIT subsets is refused on
+    search_nodes.
     """
+    if is_apex_assignment(assign):
+        return report("target_invariant", True)
     masks = _bitmasks(assign.sigmas, assign.alphas)
     if _invariant_by_state(*masks):
         return report("target_invariant", True)
 
     def visit(idx, sig, alf, comps):
-        if sig.bit_count() - len(comps) != alf.bit_count():
+        if _fails_invariant(idx, sig, alf, comps):
             return {"I": _names(idx, assign.sigmas),
                     "sigma_union_size": sig.bit_count(), "components": len(comps),
                     "alpha_union_size": alf.bit_count()}
@@ -244,10 +255,11 @@ def is_apex_assignment(assign: AlphaAssignment) -> bool:
     """Every sigma_i = alpha_i plus one shared vertex absent from all alphas.
 
     This pattern satisfies the target invariant at any size (every pair of
-    sigmas meets at the apex, so c(I) = 1 and unions grow by exactly one).
-    It is a speed shortcut: on the 792-pair apex lift of U(12,6) it takes
-    under a millisecond, where the state pass gives up after 0.3 s and the
-    walk is refused on search_nodes after about 11 s.
+    sigmas meets at the apex, so c(I) = 1 and unions grow by exactly one),
+    so ``check_target_invariant`` asks it first.  On the 792-pair apex lift
+    of U(12,6) it takes under a millisecond, where the state pass gives up
+    after 0.3 s and the walk would be refused on search_nodes after about
+    11 s.
     """
     if not assign.pairs:
         return True
@@ -274,9 +286,6 @@ def search_alpha(family: NonfaceFamily) -> AlphaAssignment | None:
     sigmas, *candidate_masks = _bitmasks(gens, *candidates)
     alphas, chosen, spent = [0] * r, [()] * r, 0
 
-    def fails(idx, sig, alf, comps):
-        return sig.bit_count() - len(comps) != alf.bit_count()
-
     def place(i):
         nonlocal spent
         if i == r:
@@ -285,7 +294,7 @@ def search_alpha(family: NonfaceFamily) -> AlphaAssignment | None:
             alphas[i], chosen[i] = m, a
             # I = {i} holds by construction: |alpha_i| = |sigma_i| - 1
             start = (1 << i, sigmas[i], m, [sigmas[i]])
-            failed, spent = _walk(sigmas[:i], alphas[:i], fails,
+            failed, spent = _walk(sigmas[:i], alphas[:i], _fails_invariant,
                                   "subsets walked by the alpha search", start, spent)
             if not failed and place(i + 1):
                 return True

@@ -269,9 +269,7 @@ def graph_chromatic(G: Graph) -> IntPolynomial:
         contracted = frozenset(f ^ high | low if f & high else f for f in deleted)
         return rec(nverts, deleted) - rec(nverts - 1, contracted)
 
-    index = {v: i for i, v in enumerate(G.vertices)}
-    return rec(len(G.vertices),
-               frozenset(1 << index[a] | 1 << index[b] for a, b in G.edges))
+    return rec(len(G.vertices), frozenset(_masks(G.vertices, G.edges, "edge")))
 
 
 def _nonface_mask(S: SimplicialComplex, sigma, convention: str) -> int:

@@ -17,7 +17,7 @@ from simpchrom.cli import main
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.hilbert import h_vector
 from simpchrom.polynomials import IntPolynomial, substitute_shift
-from simpchrom.report import GuardError
+from simpchrom.report import CheckReport, GuardError
 
 from oracles import points_complex
 
@@ -256,8 +256,7 @@ def antichain_checks(monkeypatch):
                                    lambda: uniform_matroid_complex(9, 4)],
                          ids=["octahedron", "U(9,4)"])
 def test_a_lift_and_its_report_check_only_the_alphas(build, antichain_checks):
-    # the octahedron's 3 sigmas take the exhaustive target-invariant scan,
-    # U(9,4)'s 126 the apex shortcut
+    # both lifts are apex-shaped: the target invariant passes them in O(r)
     T = build()
     antichain_checks.clear()
     S, assign = lift_with_apex(T)
@@ -349,8 +348,16 @@ def test_nonface_commands_neither_dualize_nor_close_faces(
     assert dualizations == [] and closures == []
 
 
-def test_the_sweep_round_trip_checks_no_family(antichain_checks):
-    rows = sweep._roundtrip_rows(random.Random(42), 42, 20)
+def suite_rows(monkeypatch, prefix, count):
+    """The rows of run_sweep(42) with only the named suite, drawing count
+    instances."""
+    _, _, check_name, suite = next(s for s in sweep.SUITES if s[0] == prefix)
+    monkeypatch.setattr(sweep, "SUITES", ((prefix, count, check_name, suite),))
+    return sweep.run_sweep(42)
+
+
+def test_the_sweep_round_trip_checks_no_family(antichain_checks, monkeypatch):
+    rows = suite_rows(monkeypatch, "roundtrip", 20)
     assert all(row["verdict"] == "PASS" for row in rows)
     # one check per sampled complex, whose nonfaces arrive as label lists;
     # the round trip through the facets adds none
@@ -362,7 +369,7 @@ def test_a_broken_nonface_recovery_fails_the_sweep_round_trip(monkeypatch):
     broken = cached_property(lambda s: recover(s)[1:])
     broken.__set_name__(SC, "minimal_nonface_masks")
     monkeypatch.setattr(SC, "minimal_nonface_masks", broken)
-    rows = sweep._roundtrip_rows(random.Random(42), 42, 20)
+    rows = suite_rows(monkeypatch, "roundtrip", 20)
     # only a complex with no nonface has none to drop
     assert [row["verdict"] for row in rows] == [
         "FAIL" if row["r"] else "PASS" for row in rows]
@@ -371,10 +378,33 @@ def test_a_broken_nonface_recovery_fails_the_sweep_round_trip(monkeypatch):
 
 def test_a_broken_graph_oracle_fails_the_sweep_graph_rows(monkeypatch):
     monkeypatch.setattr(sweep, "graph_chromatic", lambda g: P((7,)))
-    rows = sweep._graph_rows(random.Random(42), 42, 5)
+    rows = suite_rows(monkeypatch, "graph", 5)
     assert [row["verdict"] for row in rows] == ["FAIL"] * 5
     assert all(json.loads(row["witness"])["deletion_contraction"] == [7]
                for row in rows)
+
+
+def _failed_main_theorem(S, assign):
+    rep = verify_main_theorem(S, assign)
+    return CheckReport(rep.name, "FAIL", rep.witness, rep.details)
+
+
+@pytest.mark.parametrize("prefix, name, broken, keys", [
+    ("oracle", "finite_model_count", lambda S, q: -1, {"q", "poly", "count"}),
+    ("hilbert", "numerator_from_h", lambda S: P((7,)),
+     {"inclusion_exclusion", "from_h"}),
+    ("hilbert", "standard_monomial_count", lambda S, m: -1,
+     {"m", "series", "monomials"}),
+    ("theorem", "verify_main_theorem", _failed_main_theorem,
+     {"check_a_numerator_form", "check_b_h_form", "chromatic", "numerator_T",
+      "h_T", "n_S", "n_T", "d_T", "h_equals_numerator_regime"}),
+], ids=["oracle", "hilbert-numerator", "hilbert-series", "theorem"])
+def test_a_broken_route_fails_its_sweep_rows(prefix, name, broken, keys,
+                                              monkeypatch):
+    monkeypatch.setattr(sweep, name, broken)
+    rows = suite_rows(monkeypatch, prefix, 5)
+    assert [row["verdict"] for row in rows] == ["FAIL"] * 5
+    assert all(set(json.loads(row["witness"])) == keys for row in rows)
 
 
 def test_reciprocity_is_refused_when_the_main_theorem_fails():

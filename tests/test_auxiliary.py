@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from simpchrom import auxiliary
+from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.auxiliary import (AlphaAssignment, LITERAL, STRICT,
                                  auxiliary_complex, check_intersection_property,
                                  check_target_invariant, hilbert_polynomial_window,
@@ -561,6 +562,45 @@ def test_the_state_pass_alone_decides_the_lattice_ladder(monkeypatch):
     rep = check_target_invariant(assign)
     assert rep.witness == brute_target_invariant(assign, max_size=2)
     assert rep.witness["I"] == [["x01", "z01"], xs]
+
+
+def test_an_apex_lift_passes_without_the_state_pass_or_the_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an apex lift reached the state pass or the walk")
+
+    S, assign = lift_with_apex(uniform_matroid_complex(12, 6))
+    assert len(assign) == 792
+    monkeypatch.setattr(auxiliary, "_invariant_by_state", refuse)
+    monkeypatch.setattr(auxiliary, "_walk", refuse)
+    assert check_target_invariant(assign).passed
+
+
+def test_an_apex_shape_broken_at_one_alpha_is_walked(monkeypatch):
+    calls = []
+
+    def counted(name):
+        work = getattr(auxiliary, name)
+
+        def run(*args, **kwargs):
+            calls.append(name)
+            return work(*args, **kwargs)
+        monkeypatch.setattr(auxiliary, name, run)
+
+    counted("_invariant_by_state")
+    counted("_walk")
+    S, assign = lift_with_apex(uniform_matroid_complex(5, 2))
+    # alpha_i = sigma_i - x keeps the apex q, so the shape no longer holds
+    for i, (sigma, alpha) in enumerate(assign.pairs):
+        for x in sorted(alpha):
+            pairs = list(assign.pairs)
+            pairs[i] = (sigma, sigma - {x})
+            broken = AlphaAssignment(tuple(pairs))
+            assert not is_apex_assignment(broken)
+            calls.clear()
+            rep = check_target_invariant(broken)
+            assert calls == ["_invariant_by_state", "_walk"]
+            assert not rep.passed
+            assert rep.witness == brute_target_invariant(broken)
 
 
 def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):
