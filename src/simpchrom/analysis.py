@@ -80,29 +80,18 @@ def log_concavity_report(S: SimplicialComplex,
     when chi_c is not computable.  Every scan also records the largest
     suffix window on which log concavity holds.
     """
-    h = h_vector(S).entries
-    f = S.f_vector()
-    subs = {
-        "h_vector": is_log_concave(h, absolute=absolute),
-        "f_vector": is_log_concave(f, absolute=absolute),
-    }
-    suffixes = {
-        "h_vector": largest_log_concave_suffix(h, absolute),
-        "f_vector": largest_log_concave_suffix(f, absolute),
-    }
+    sequences = {"h_vector": h_vector(S).entries, "f_vector": S.f_vector()}
     chi_c, route = _chromatic_if_possible(S, assign)
+    if chi_c is not None:
+        sequences["chromatic"] = chi_c.coeffs
+        sequences["chromatic_translate"] = substitute_shift(chi_c).coeffs
+    subs = {name: is_log_concave(seq, absolute=absolute)
+            for name, seq in sequences.items()}
+    suffixes = {name: largest_log_concave_suffix(seq, absolute)
+                for name, seq in sequences.items()}
     if chi_c is None:
         na = CheckReport("log_concave", NOT_APPLICABLE, None, {"reason": route})
-        subs["chromatic"] = na
-        subs["chromatic_translate"] = na
-    else:
-        translated = substitute_shift(chi_c)
-        subs["chromatic"] = is_log_concave(chi_c.coeffs, absolute=absolute)
-        subs["chromatic_translate"] = is_log_concave(translated.coeffs,
-                                                     absolute=absolute)
-        suffixes["chromatic"] = largest_log_concave_suffix(chi_c.coeffs, absolute)
-        suffixes["chromatic_translate"] = largest_log_concave_suffix(
-            translated.coeffs, absolute)
+        subs["chromatic"] = subs["chromatic_translate"] = na
     ran = [rep for rep in subs.values() if rep.verdict != NOT_APPLICABLE]
     ok = all(rep.passed for rep in ran)
     failing = {name: rep.witness for name, rep in subs.items()

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import (NonfaceFamily, SimplicialComplex, _check_vertex_count,
-                        _later_unions, _masks, _reindex, fresh_label)
+from .complexes import (NonfaceFamily, SimplicialComplex, _later_unions, _masks,
+                        _reindex, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -346,14 +346,15 @@ def lift_with_apex(T: SimplicialComplex):
     of T: the full simplex on V(T) and the cone over T from q.  So S has the
     facets V(T) and F + q for each facet F of T, or only V(T) + q when T has
     no nonface, and its minimal nonfaces are the sigmas, alpha + q.  Both
-    are built as masks, with no dualization.  Returns (S, assignment); the
-    induced assignment always satisfies the target invariant since every
-    lifted nonface shares the apex.
+    are built as masks, with no dualization, and no subset of V(S) is
+    enumerated: so the lift has no vertex guard of its own.  T's facets are
+    read behind T's guard, and S's faces, if a caller reads them, behind
+    S's.  Returns (S, assignment); the induced assignment always satisfies
+    the target invariant since every lifted nonface shares the apex.
     """
     nonfaces = T.minimal_nonface_masks
     q = fresh_label(set(T.vertices), "q")
     labels = sorted(T.vertices + (q,))
-    _check_vertex_count(len(labels))
     move = _reindex(T.vertices, labels)
     apex = 1 << labels.index(q)
     simplex = (1 << len(labels)) - 1 ^ apex

@@ -295,12 +295,6 @@ class SimplicialComplex:
             counts[m.bit_count()] += 1
         return tuple(counts)
 
-    def euler_characteristics(self) -> tuple[int, int]:
-        """(chi, chi_reduced): alternating face-count sum and chi - 1."""
-        f = self.f_vector()
-        chi = sum((-1) ** i * f[i + 1] for i in range(len(f) - 1))
-        return chi, chi - 1
-
     @cached_property
     def minimal_nonface_masks(self) -> tuple[int, ...]:
         """Derived: the sets grown from the faces that are nonfaces with every

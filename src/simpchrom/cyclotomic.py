@@ -19,9 +19,9 @@ from itertools import combinations, product
 from math import prod
 
 from .complexes import SimplicialComplex
-from .hilbert import h_vector, numerator_from_h
+from .hilbert import h_vector
 from .homology import boundary_matrix, reduced_homology, smith_normal_form
-from .polynomials import IntPolynomial, reciprocal
+from .polynomials import IntPolynomial
 from .report import CheckReport, check_limit, report
 
 CYCLOTOMIC_LIMIT = 10 ** 6
@@ -217,26 +217,20 @@ def check_cyclotomic_homology(spec: CyclotomicSpec, j: int) -> CheckReport:
 def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
     """The constant-term dichotomy, operationalized through the top Betti number.
 
-    Builds T = single-facet subcomplex and computes chi_c of its apex lift
-    through the reversed-numerator identity; the lift itself is never
-    materialized (its nonface count is far past the enumeration guard).
-    Tests that the top Betti number of T, #top faces - rank of the top
-    boundary map, is 1 when c_j = 0 and 0 otherwise.  The top h-entry cannot
-    decide this: h_top = (-1)^(d-1) * (chi - 1), and at c_j = 0 the Z in
-    the two top degrees cancel in the Euler characteristic.  h_top, that
-    identity and the literal constant term of chi_c (identically zero here)
-    are recorded.
+    Builds T = single-facet subcomplex, whose apex lift has n_T + 1
+    vertices, and tests that the top Betti number of T, #top faces - rank
+    of the top boundary map, is 1 when c_j = 0 and 0 otherwise.  The top
+    h-entry cannot decide this: h_top = (-1)^(d-1) * (chi - 1), and at
+    c_j = 0 the Z in the two top degrees cancel in the Euler characteristic.
+    h_top and the h-vector are recorded.  Neither that identity nor the
+    literal constant term of the lift's chi_c is: the identity holds for
+    every complex, and the t^0 coefficient of reciprocal(K_T, n_T + 1) is 0
+    because deg K_T <= n_T, so neither check could fail.
     """
     c_j, T = _residue_case(spec, j)
     h = h_vector(T)
-    h_top = h.entries[-1]
-    chi_reduced = T.euler_characteristics()[1]
-    identity_ok = h_top == (-1) ** (h.d - 1) * chi_reduced
     top_rank = len(smith_normal_form(boundary_matrix(T, T.dimension)))
     top_betti = T.f_vector()[-1] - top_rank
-    k_t = numerator_from_h(T)
-    n_s = T.n + 1
-    chi_c = reciprocal(k_t, n_s)
     sign = (-1) ** spec.d
     expected_top_betti = 1 if c_j == 0 else 0
     ok = top_betti == expected_top_betti
@@ -247,11 +241,9 @@ def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
         coefficient=c_j, degree=j, primes=list(spec.primes),
         labeling=spec.labeling,
         top_betti=top_betti, expected_top_betti=expected_top_betti,
-        h_top=h_top,
+        h_top=h.entries[-1],
         reconstructed_constant=sign + top_betti,
         expected_constant=sign + expected_top_betti,
-        literal_constant_term=chi_c[0],
-        euler_identity_holds=identity_ok,
         h_vector=list(h.entries),
-        lift_vertices=n_s,
+        lift_vertices=T.n + 1,
     )

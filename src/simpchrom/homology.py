@@ -6,9 +6,10 @@ a Smith normal form computed by exact elimination over the sparse lines of
 the shorter side.  Boundary entries are 0 and +-1, so nearly every pivot is
 a unit and the lines stay short.  No modular tricks, and no dense row: a
 matrix builds its dense ``entries`` only when a caller reads them.  The
-face-count and SNF size guards read the face counts alone:
-``boundary_matrix`` checks them before a matrix is built, and
-``reduced_homology`` checks every degree before its first SNF.
+face-count and SNF size guards read the face counts alone, and
+``boundary_matrix`` checks them before a matrix is built; so
+``reduced_homology`` builds every matrix, each checked once, before its
+first SNF.
 """
 
 from __future__ import annotations
@@ -177,17 +178,16 @@ def reduced_homology(S: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ..
     """Per-degree (betti rank, torsion invariants) of the reduced complex.
 
     rank H_k = #k-faces - rank d_k - rank d_(k+1); the torsion in degree k is
-    the set of invariant factors of d_(k+1) exceeding 1.  The guards of
-    every degree are checked before the first SNF.
+    the set of invariant factors of d_(k+1) exceeding 1.  Every matrix is
+    built, and so passes its guards, before the first SNF.
     """
     dim = S.dimension
     if dim < 0:
         # only the empty face: a single Z in degree -1
         return {-1: (1, ())}
     faces = S.faces_by_size
-    for k in range(dim + 1):
-        _check_boundary_size(len(faces[k]), len(faces[k + 1]))
-    snf = {k: smith_normal_form(boundary_matrix(S, k)) for k in range(dim + 1)}
+    matrices = [boundary_matrix(S, k) for k in range(dim + 1)]
+    snf = {k: smith_normal_form(M) for k, M in enumerate(matrices)}
     out = {}
     for k in range(dim + 1):
         rank_in = len(snf.get(k + 1, ()))

@@ -85,6 +85,14 @@ def with_face(S: SimplicialComplex, sigma) -> SimplicialComplex:
                                          relaxed=not _covered(S))
 
 
+def euler_characteristics(S: SimplicialComplex) -> tuple[int, int]:
+    """(chi, chi_reduced): the alternating count of the nonempty faces, and
+    chi - 1."""
+    chi = sum((-1) ** (k - 1) * len(group)
+              for k, group in enumerate(face_groups(S)) if k)
+    return chi, chi - 1
+
+
 def f_from_h(h, d: int) -> tuple[int, ...]:
     """Inverse h-to-f transform: f_{j-1} = sum_i C(d-i, j-i) h_i."""
     h = tuple(h)

@@ -28,6 +28,8 @@ from simpchrom.polynomials import (IntPolynomial, brenti_criterion,
                                    is_signed_palindrome)
 from simpchrom.sampling import random_complex, random_intersecting_complex
 
+from oracles import euler_characteristics
+
 P = IntPolynomial
 SC = SimplicialComplex
 
@@ -167,7 +169,7 @@ def test_criterion_08_cyclotomic_homology_experiment(capsys):
             for j in js:
                 t = build_residue_subcomplex(spec, {j})
                 h = h_vector(t)
-                chi_reduced = t.euler_characteristics()[1]
+                chi_reduced = euler_characteristics(t)[1]
                 ok = ok and h.entries[-1] == (-1) ** (h.d - 1) * chi_reduced
     announce(8, ok and elapsed < 60.0,
              f"torsion experiment per labeling in {elapsed:.2f} s")

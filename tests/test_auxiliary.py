@@ -5,8 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
-from simpchrom import auxiliary
-from simpchrom.analysis import uniform_matroid_complex
+from simpchrom import auxiliary, complexes
+from simpchrom.analysis import log_concavity_report, uniform_matroid_complex
 from simpchrom.auxiliary import (AlphaAssignment, LITERAL, STRICT,
                                  auxiliary_complex, check_intersection_property,
                                  check_target_invariant, hilbert_polynomial_window,
@@ -188,6 +188,26 @@ def test_lift_with_apex_fixtures():
     assert octa_s.n == 7
     assert is_apex_assignment(octa_assign)
     assert is_apex_assignment(AlphaAssignment(()))
+
+
+def test_an_apex_lift_past_the_vertex_limit_enumerates_nothing(monkeypatch):
+    # S is built from T's masks: T's one dualization runs, and no closure
+    calls = []
+    for name in ("_maximal_generator_free", "_downward_closure"):
+        def run(*args, name=name, work=getattr(complexes, name)):
+            calls.append(name)
+            return work(*args)
+        monkeypatch.setattr(complexes, name, run)
+    T = SC.from_minimal_nonfaces([f"v{i:02d}" for i in range(25)],
+                                 [["v00", "v01"]])
+    S, assign = lift_with_apex(T)
+    assert S.n == 26 and len(S.facet_masks) == 3 and len(assign) == 1
+    assert calls == ["_maximal_generator_free"]
+    # S's own face side keeps its guard
+    with pytest.raises(GuardError) as exc:
+        log_concavity_report(S, assign)
+    assert exc.value.limit == "vertex_count"
+    assert calls == ["_maximal_generator_free"]
 
 
 def test_lift_disjoint_fixtures():

@@ -85,7 +85,8 @@ FILES = {
                          "facets": [[f"v{i:02d}" for i in range(30)]]},
     "wide-nonfaces.json": {"vertices": [f"v{i:02d}" for i in range(26)],
                            "minimal_nonfaces": [["v00", "v01"]]},
-    # 25 vertices pass the vertex guard; the lifts' 26 do not
+    # 25 vertices pass the vertex guard; the apex lift builds its 26 from
+    # masks and enumerates nothing, the disjoint lift's dualization is refused
     "wide-lift.json": {"vertices": [f"v{i:02d}" for i in range(25)],
                        "minimal_nonfaces": [["v00", "v01"]]},
     # U(16,4): d_0..d_2 pass the guards, the 560 x 1820 d_3 does not
@@ -116,7 +117,7 @@ RUNS = {
     "sweep-42": ["sweep", "--seed", "42"],
     "chromatic-graph": ["chromatic", "c5-graph.json"],
     "hilbert-expand": ["hilbert", "lonely.json", "--expand", "6"],
-    # one degree past the monomial oracle's limit, and far past it: the series
+    # one degree past the series' degree limit, and far past it: the series
     # refuses both before it computes K
     "hilbert-expand-degree-limit": ["hilbert", "square.json", "--expand", "13"],
     "guard-monomial-degree": ["hilbert", "square.json", "--expand", "1000000"],
@@ -185,7 +186,7 @@ RUNS = {
     "guard-vertices-nonfaces-hilbert": ["hilbert", "wide-nonfaces.json"],
     "guard-vertices-nonfaces-homology": ["homology", "wide-nonfaces.json"],
     "guard-matrix-size": ["homology", "u16-4.json"],
-    "guard-vertices-apex-lift": ["lift", "wide-lift.json", "--mode", "apex"],
+    "lift-apex-26-vertices": ["lift", "wide-lift.json", "--mode", "apex"],
     "guard-vertices-disjoint-lift": ["lift", "wide-lift.json", "--mode",
                                      "disjoint"],
     # e lies in no minimal nonface, so the count ends on a free tail
@@ -208,8 +209,8 @@ RUNS = {
     # no assignment and 36 nonfaces: the direct route sums chi_c by live
     # state, so every sub-result has a verdict
     "logconcavity-nonface-guard": ["logconcavity", "u9-6.json"],
-    # the scan guard refuses the assignment, so chi_c is summed directly and
-    # the route names the refusal
+    # the assignment fails the target invariant, so chi_c is summed directly
+    # and the route says so
     "logconcavity-alpha-guard": ["logconcavity", "u7-4-apex.json", "--alpha",
                                  "u7-4-apex-alpha-not-apex.json"],
 }
@@ -222,9 +223,9 @@ DIGESTS = {
     "chromatic-wide-nonfaces":
         "d0422dc5eaada9f1e45c46e170f1a01e689e39acf6f766d79a51adbb26b2a91d",
     "cyclcheck-c-2":
-        "b717a4f5e9597be9fb738836c0e813484b0516843d64146029df82bddeecd3aa",
+        "40222ee73300269b9b4caccb97d3df9f698f6b98b3c4172c72b23e53b41afacb",
     "cyclcheck-c0":
-        "09e8abb119d15a903c508e41e15f050f19380e290fdb6ef6f3f37553ed8bdca0",
+        "9fb58e3829def4414a87371bebd7155747c94484480a1c7102418b6d766fae3b",
     "cyclo-check":
         "126fd41912412e6fed042e269cf485ab70044fbedb29c48e81d0dd9288c118df",
     "cyclo-check-four-primes-free":
@@ -271,8 +272,6 @@ DIGESTS = {
         "06c7ea1e7abdf2e9b1a61f115d959d73e8bc90c0b825786d1bac81dfb29145fa",
     "guard-uniform-vertices":
         "bbf1412b73f24cad8b6c590e8db4048efafdd5b7b531efb0acb05833c76ab8df",
-    "guard-vertices-apex-lift":
-        "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-disjoint-lift":
         "13d123cfd5624b9b6bc9655004c619d25abf4accf9af8feefa81610d28f9b4ec",
     "guard-vertices-facets":
@@ -295,6 +294,8 @@ DIGESTS = {
         "38d7beb90785f6ccade26552f4d08a29d26ffb8914202b30813efbd59027fac7",
     "homology":
         "f4edc6222e03a59a455c1bf2a437ce5311df3b02bb6e20d4c61957b2541f6f0d",
+    "lift-apex-26-vertices":
+        "b8e8c345a13f8af723cc9a702408d91fc8873c11d18c25e74474836f04cd3714",
     "lift-apex-free-vertex":
         "a8bd641ecea024512e28925c220f66467c822815782f431a522d574d935b6452",
     "lift-apex-mid-order":

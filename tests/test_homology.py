@@ -17,7 +17,7 @@ from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
-from oracles import face_groups, points_complex
+from oracles import euler_characteristics, face_groups, points_complex
 
 SC = SimplicialComplex
 
@@ -266,7 +266,7 @@ def test_euler_consistency():
     for _ in range(25):
         s = random_complex(rng, n_max=6)
         hom = reduced_homology(s)
-        chi_reduced = s.euler_characteristics()[1]
+        chi_reduced = euler_characteristics(s)[1]
         assert sum((-1) ** k * rank for k, (rank, _) in hom.items()) == chi_reduced
 
 
@@ -287,7 +287,7 @@ def test_projective_plane_two_torsion():
         for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
             edge_use[e] = edge_use.get(e, 0) + 1
     assert len(edge_use) == 15 and set(edge_use.values()) == {2}
-    assert s.euler_characteristics() == (1, 0)
+    assert euler_characteristics(s) == (1, 0)
     assert reduced_homology(s) == {0: (0, ()), 1: (0, (2,)), 2: (0, ())}
 
 
@@ -299,7 +299,7 @@ def test_seven_vertex_torus():
         tris.append((labs[i], labs[(i + 2) % 7], labs[(i + 3) % 7]))
     s = SC.from_facets(labs, tris)
     assert s.f_vector() == (1, 7, 21, 14)
-    assert s.euler_characteristics()[0] == 0
+    assert euler_characteristics(s)[0] == 0
     assert reduced_homology(s) == {0: (0, ()), 1: (2, ()), 2: (1, ())}
 
 
@@ -403,6 +403,19 @@ def test_reduced_homology_guards_fire_before_any_snf(monkeypatch):
     assert (err.limit, err.measured, err.bound, str(err)) == (
         "face_count", 12, 8, "12 faces of one size exceed the 8 limit")
     assert calls == []
+
+
+def test_reduced_homology_checks_each_matrix_once(monkeypatch):
+    calls = []
+    check = homology._check_boundary_size
+
+    def counted(nrows, ncols):
+        calls.append((nrows, ncols))
+        check(nrows, ncols)
+
+    monkeypatch.setattr(homology, "_check_boundary_size", counted)
+    assert reduced_homology(octahedron())[1] == (0, ())
+    assert calls == [(1, 6), (6, 12), (12, 8)]
 
 
 def test_matrix_size_guard_in_smith_normal_form(monkeypatch):
