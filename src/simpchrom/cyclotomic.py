@@ -1,11 +1,12 @@
 """Cyclotomic polynomials and the residue-labeled join subcomplexes.
 
-The polynomial oracle multiplies and exactly divides (x^(n/d) - 1) factors
-over the squarefree divisors d of n, the only ones with a nonzero Moebius
-value; a spec computes its Phi_n once.  The complex builder joins one discrete
-vertex group per prime; facets of the join are transversals and correspond
-to residues mod the product by CRT.  A subcomplex keeps the codimension-one
-skeleton plus a chosen set of facets.  The chosen index set names residues
+The polynomial oracle multiplies the power series (1 - x^(n/d))^mu(d) over
+the squarefree divisors d of n, the only ones with a nonzero Moebius value,
+truncated at degree phi(n), so no polynomial is divided; a spec computes its
+Phi_n once.  The complex builder joins one discrete vertex group per prime;
+facets of the join are transversals and correspond to residues mod the
+product by CRT.  A subcomplex keeps the codimension-one skeleton plus a
+chosen set of facets.  The chosen index set names residues
 one-based by default: the one labeling under which the homology matches the
 coefficient theorem on every residue checked.  The zero-based labeling stays
 selectable as the recorded counter-example.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 
 from .complexes import SimplicialComplex
@@ -49,24 +50,36 @@ def _is_prime(p: int) -> bool:
 
 
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """Phi_n as the product of (x^(n/d) - 1)^mu(d); degree phi(n).
+    """Phi_n as the power series of prod (1 - x^(n/d))^mu(d), truncated at
+    its degree phi(n); for n > 1 the mu(d) sum to 0, so this is the product
+    of the (x^(n/d) - 1)^mu(d).
 
     Only squarefree d have mu(d) != 0: d is the product of a set of the
-    primes of n, and mu(d) is -1 to the size of that set.
+    primes of n, and mu(d) is -1 to the size of that set.  Multiplying by
+    1 - x^m subtracts the series shifted by m, dividing by it is a running
+    sum along each residue class mod m, and a factor with m > phi(n) is 1
+    up to the truncation: at most 2^omega(n) passes over phi(n) + 1
+    coefficients.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_limit("cyclotomic_index", n, CYCLOTOMIC_LIMIT, "roots of x^n - 1")
+    if n == 1:
+        return IntPolynomial((-1, 1))
     primes = list(_prime_factors(n))
-    numerator = denominator = IntPolynomial.one()
+    phi = euler_phi(n)
+    c = [1] + [0] * phi
     for size in range(len(primes) + 1):
         for subset in combinations(primes, size):
-            factor = IntPolynomial.monomial(n // prod(subset)) - 1
+            m = n // prod(subset)
+            if m > phi:
+                continue
             if size % 2:
-                denominator = denominator * factor
+                for r in range(m):
+                    c[r::m] = accumulate(c[r::m])
             else:
-                numerator = numerator * factor
-    return numerator.exact_divide(denominator)
+                c[m:] = [a - b for a, b in zip(c[m:], c)]
+    return IntPolynomial(c)
 
 
 def euler_phi(n: int) -> int:
@@ -155,15 +168,23 @@ def included_residues(spec: CyclotomicSpec, A) -> tuple[int, ...]:
 
 
 def build_residue_subcomplex(spec: CyclotomicSpec, A) -> SimplicialComplex:
-    """Codimension-one skeleton of the join plus the facets selected by A."""
+    """Codimension-one skeleton of the join plus the facets selected by A.
+
+    The skeleton's facets are the transversals of d - 1 of the d groups.  One
+    that is a chosen facet less a vertex is a face of that facet, so only the
+    transversals no chosen facet covers are handed to ``from_facets``, which
+    would otherwise test each against every chosen facet.  The top index
+    block alone covers them all, since it holds at least n/p consecutive
+    residues for each prime p.
+    """
     if spec.d < 2:
         raise ValueError("at least two prime groups required")
     groups = spec.groups
     facets = [facet_of_residue(spec, j) for j in included_residues(spec, A)]
-    # all partial transversals hitting d-1 of the d groups
+    covered = {f[:i] + f[i + 1:] for f in facets for i in range(spec.d)}
     for skip in range(spec.d):
         kept = [groups[i] for i in range(spec.d) if i != skip]
-        facets.extend(product(*kept))
+        facets.extend(t for t in product(*kept) if t not in covered)
     labels = [v for g in groups for v in g]
     return SimplicialComplex.from_facets(labels, facets)
 

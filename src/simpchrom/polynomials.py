@@ -10,14 +10,6 @@ from __future__ import annotations
 from .report import CheckReport, report
 
 
-class InexactDivisionError(ArithmeticError):
-    """Polynomial division left a nonzero remainder."""
-
-    def __init__(self, remainder: "IntPolynomial"):
-        super().__init__(f"division is not exact, remainder {remainder}")
-        self.remainder = remainder
-
-
 class IntPolynomial:
     __slots__ = ("coeffs",)
 
@@ -126,28 +118,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def exact_divide(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Quotient of an exact division; raises InexactDivisionError otherwise."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        lead = d[-1]
-        qdeg = len(rem) - len(d)
-        quot = [0] * (qdeg + 1) if qdeg >= 0 else []
-        for i in range(qdeg, -1, -1):
-            top = rem[i + len(d) - 1]
-            if top % lead != 0:
-                raise InexactDivisionError(IntPolynomial(rem))
-            q = top // lead
-            quot[i] = q
-            if q:
-                for j, cj in enumerate(d):
-                    rem[i + j] -= q * cj
-        if any(rem):
-            raise InexactDivisionError(IntPolynomial(rem))
-        return IntPolynomial(quot)
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"

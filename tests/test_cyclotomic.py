@@ -1,8 +1,12 @@
 """Cyclotomic oracle, residue subcomplex builders, and the two experiments."""
 
+import random
+from itertools import product
+
 import pytest
 
 from simpchrom import cyclotomic
+from simpchrom.complexes import SimplicialComplex
 from simpchrom.cyclotomic import (CyclotomicSpec, ONE_BASED, ZERO_BASED,
                                   build_residue_subcomplex,
                                   check_constant_term_detection,
@@ -51,6 +55,35 @@ def test_cyclotomic_rejects_bad_input():
         cyclotomic_polynomial(0)
     with pytest.raises(GuardError):
         cyclotomic_polynomial(10 ** 6 + 1)
+
+
+# The identities below hold for Phi_n however it is computed, and none of them
+# is a step of the power-series route: each checks the route from outside.
+def test_cyclotomic_of_twice_an_odd_n_is_a_sign_flip():
+    # Phi_2n(x) = Phi_n(-x) for odd n
+    odd = cyclotomic_polynomial(15015)
+    assert cyclotomic_polynomial(30030).coeffs == tuple(
+        (-1) ** i * c for i, c in enumerate(odd.coeffs))
+
+
+def test_cyclotomic_of_a_prime_is_the_geometric_sum():
+    p = 999983
+    assert cyclotomic_polynomial(p).coeffs == (1,) * p
+
+
+def test_cyclotomic_of_a_prime_power_and_of_a_power_of_ten():
+    # Phi_(p^k)(x) = Phi_p(x^(p^(k-1))), and Phi_(10 m)(x) = Phi_10(x^m) for
+    # m a power of 10, since 10 m has the same primes as 10
+    for n, base, step in ((5 ** 8, (1, 1, 1, 1, 1), 5 ** 7),
+                          (10 ** 6, (1, -1, 1, -1, 1), 10 ** 5)):
+        expected = [0] * (step * (len(base) - 1) + 1)
+        expected[::step] = base
+        assert cyclotomic_polynomial(n).coeffs == tuple(expected)
+
+
+def test_cyclotomic_heights():
+    for n, height in ((1155, 3), (15015, 23), (255255, 532)):
+        assert max(map(abs, cyclotomic_polynomial(n).coeffs)) == height
 
 
 def test_spec_validation():
@@ -115,6 +148,53 @@ def test_full_inclusion_is_monotone_in_A():
     assert small <= large
     full = build_residue_subcomplex(spec, range(spec.phi + 1))  # the join
     assert len(full.facet_masks) == 6
+
+
+def _full_skeleton_route(spec, A):
+    """The residue complex built from every (d-1)-transversal, covered or not."""
+    groups = spec.groups
+    facets = [facet_of_residue(spec, j) for j in included_residues(spec, A)]
+    for skip in range(spec.d):
+        facets.extend(product(*(g for i, g in enumerate(groups) if i != skip)))
+    return SimplicialComplex.from_facets([v for g in groups for v in g], facets)
+
+
+def _index_sets(spec, count):
+    """The empty set, every index, then seeded singletons, pairs and triples."""
+    rng = random.Random(spec.n)
+    indices = range(spec.phi + 1)
+    out = [set(), set(indices)]
+    while len(out) < count:
+        out.append(set(rng.sample(indices, len(out) % 3 + 1)))
+    return out
+
+
+@pytest.mark.parametrize("labeling", [ONE_BASED, ZERO_BASED])
+@pytest.mark.parametrize("primes, count", [
+    ((2, 3), 30), ((3, 5), 30), ((2, 3, 5), 30), ((3, 5, 7), 30),
+    ((2, 3, 5, 7), 30), ((3, 5, 7, 11), 8)])
+def test_residue_complex_equals_the_full_skeleton_route(primes, count, labeling):
+    spec = CyclotomicSpec(primes, labeling)
+    for A in _index_sets(spec, count):
+        assert build_residue_subcomplex(spec, A) == _full_skeleton_route(spec, A), A
+
+
+@pytest.mark.parametrize("labeling", [ONE_BASED, ZERO_BASED])
+@pytest.mark.parametrize("primes", [(2, 3), (3, 5, 7), (3, 5, 7, 11, 13)])
+def test_the_top_block_covers_every_codimension_one_transversal(primes, labeling):
+    # the (d-1)-transversal of residue r mod n/p lies in the facet of residue
+    # j exactly when j = r mod n/p; the top block holds n - phi - 1 >= n/p
+    # consecutive residues, so every transversal lies in a chosen facet and
+    # the facets are exactly the chosen ones
+    spec = CyclotomicSpec(primes, labeling)
+    for A in (set(), {1}, {0, 1, 2}):
+        residues = included_residues(spec, A)
+        for p in spec.primes:
+            m = spec.n // p
+            assert {j % m for j in residues} == set(range(m))
+        chosen = {frozenset(facet_of_residue(spec, j)) for j in residues}
+        facets = build_residue_subcomplex(spec, A).facets
+        assert {frozenset(f) for f in facets} == chosen
 
 
 def test_three_prime_counts():

@@ -139,6 +139,11 @@ RUNS = {
     # one vertex past the uniform builder's limit
     "guard-uniform-vertices": ["uniform", "--n", "21", "--r", "2"],
     "guard-cyclotomic-index": ["cyclo-poly", "--n", "1000001"],
+    # Phi_1 = x - 1 is the one n whose signs do not cancel; 2310 is even, so
+    # the prime 2 contributes factors (1 - x^m) with m = 1
+    "cyclo-poly-1": ["cyclo-poly", "--n", "1"],
+    "cyclo-poly-105": ["cyclo-poly", "--n", "105"],
+    "cyclo-poly-2310": ["cyclo-poly", "--n", "2310"],
     "lift-apex-free-vertex": ["lift", "lonely.json", "--mode", "apex"],
     "lift-disjoint": ["lift", "square.json", "--mode", "disjoint"],
     "lift-disjoint-octahedron": ["lift", "octahedron.json", "--mode", "disjoint"],
@@ -234,6 +239,12 @@ DIGESTS = {
         "d7b462df144d055ebe8ff49a3d616b758570f35aca226af7451230a44397f1be",
     "cyclo-check-zero":
         "b6389dcce79c2871a4254ecfaf97374d43c9c6d61cbc40d5125c0aa98f56733c",
+    "cyclo-poly-1":
+        "9ea6f632384439fcb2b23bf8f88df51f9f24ae22d9eb9b6f6beb993a6dfae668",
+    "cyclo-poly-105":
+        "5e0a9860506925b61a27574443f7daff1ab7fd59c3d81b700a5079fffe09d841",
+    "cyclo-poly-2310":
+        "be15521b1cef11bcfbc3ef5bb3afb3d5739284793c762e3c106f37478e9a07cf",
     "error-alpha-not-antichain":
         "ac4d5379c1c851542552d392624837c4a93145513c929014a0bfe77b68552da4",
     "error-alpha-repeated-label":

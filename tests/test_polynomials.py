@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from simpchrom.polynomials import (InexactDivisionError, IntPolynomial,
-                                   brenti_criterion, format_poly, is_log_concave,
-                                   is_signed_palindrome, reciprocal,
-                                   substitute_shift)
+from simpchrom.polynomials import (IntPolynomial, brenti_criterion, format_poly,
+                                   is_log_concave, is_signed_palindrome,
+                                   reciprocal, substitute_shift)
 
 P = IntPolynomial
 
@@ -29,16 +28,6 @@ def test_basic_arithmetic():
     assert (-one_plus_t).coeffs == (-1, -1)
     assert one_plus_t * 3 == P((3, 3))
     assert 2 + one_plus_t == P((3, 1))
-
-
-def test_exact_division():
-    assert P((1, 0, -1)).exact_divide(P((1, -1))) == P((1, 1))
-    assert P((0, -1, 0, 1)).exact_divide(P((0, 1))) == P((-1, 0, 1))
-    with pytest.raises(InexactDivisionError) as err:
-        P((1, 1, 1)).exact_divide(P((1, 1)))
-    assert not err.value.remainder.is_zero()
-    with pytest.raises(ZeroDivisionError):
-        P((1,)).exact_divide(P(()))
 
 
 def test_evaluate_uses_exact_integers():
