@@ -330,29 +330,37 @@ def _sort_masks(masks) -> tuple[int, ...]:
 def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     """All maximal subsets of [n] containing no generator.
 
-    Branching dualization: from a set containing some generator, recurse on
-    removing each of that generator's vertices.  Visited-set memoization keeps
-    the walk polynomial in the output at desk scale.
+    Branching dualization over (set, kept vertices) pairs, smallest
+    generator first.  At a set m holding some generator g (the first in size
+    order), every generator-free set T with kept <= T <= m misses a vertex of
+    g outside kept; branch i drops the i-th such vertex and keeps the ones
+    before it, so each T lies in exactly one branch, and if g lies wholly
+    inside kept the branch holds no T and ends.  Branches i < j differ on
+    vertex i, dropped in one and kept in the other, so each set is met once
+    and no visited set is needed.  Every maximal T ends a branch as a leaf;
+    the leaves that are not maximal are dropped by ``_antichain_max``.
+
+    The sort is stable, so an equal-size family keeps its given order: at
+    each set the first generator is the one a walk that branches on every
+    vertex of it and skips revisits would take, and this walk meets a subset
+    of that walk's sets.  On U(n, k), whose nonfaces are the (k+1)-sets in
+    lexicographic order, it is all of them, C(n+1, k+1) sets.
     """
-    full = (1 << n) - 1
+    gens = sorted(gen_masks, key=int.bit_count)
     found = []
-    seen = set()
-    stack = [full]
+    stack = [((1 << n) - 1, 0)]
     while stack:
-        m = stack.pop()
-        if m in seen:
-            continue
-        seen.add(m)
-        hit = -1
-        for g in gen_masks:
+        m, kept = stack.pop()
+        for g in gens:
             if g & m == g:
-                hit = g
                 break
-        if hit < 0:
-            found.append(m)
         else:
-            for v in _bits(hit):
-                stack.append(m & ~(1 << v))
+            found.append(m)
+            continue
+        for v in _bits(g & ~kept):
+            bit = 1 << v
+            stack.append((m ^ bit, kept))
+            kept |= bit
     return _antichain_max(found)
 
 

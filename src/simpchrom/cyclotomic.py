@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import prod
 
 from .complexes import SimplicialComplex
@@ -170,22 +170,17 @@ def included_residues(spec: CyclotomicSpec, A) -> tuple[int, ...]:
 def build_residue_subcomplex(spec: CyclotomicSpec, A) -> SimplicialComplex:
     """Codimension-one skeleton of the join plus the facets selected by A.
 
-    The skeleton's facets are the transversals of d - 1 of the d groups.  One
-    that is a chosen facet less a vertex is a face of that facet, so only the
-    transversals no chosen facet covers are handed to ``from_facets``, which
-    would otherwise test each against every chosen facet.  The top index
-    block alone covers them all, since it holds at least n/p consecutive
-    residues for each prime p.
+    The skeleton's facets are the transversals of d - 1 of the d groups; the
+    one that skips the group of p belongs to a residue r mod n/p and lies in
+    the facet of every residue j = r mod n/p.  The top index block holds at
+    least n/p consecutive residues for each prime p, so it meets every
+    class mod n/p: every transversal is a face of a chosen facet, and the
+    chosen facets alone give the complex.
     """
     if spec.d < 2:
         raise ValueError("at least two prime groups required")
-    groups = spec.groups
     facets = [facet_of_residue(spec, j) for j in included_residues(spec, A)]
-    covered = {f[:i] + f[i + 1:] for f in facets for i in range(spec.d)}
-    for skip in range(spec.d):
-        kept = [groups[i] for i in range(spec.d) if i != skip]
-        facets.extend(t for t in product(*kept) if t not in covered)
-    labels = [v for g in groups for v in g]
+    labels = [v for g in spec.groups for v in g]
     return SimplicialComplex.from_facets(labels, facets)
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from simpchrom import complexes
 from simpchrom.auxiliary import auxiliary_complex, search_alpha
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.report import GuardError
@@ -175,6 +176,99 @@ def test_derived_minimal_nonfaces_equal_a_subset_scan():
     assert any(len(g) == 1 for s in samples for g in minimal_nonface_labels(s))
     for s in samples:
         assert list(s.minimal_nonfaces().generators) == minimal_nonface_labels(s)
+
+
+def _maximal_generator_free_scan(s):
+    """Facet masks of s by a scan of all 2^n vertex subsets: the sets that
+    hold no minimal nonface while each one-vertex extension holds one."""
+    bit = {v: 1 << i for i, v in enumerate(s.vertices)}
+    gens = [sum(bit[v] for v in g) for g in s.minimal_nonfaces().generators]
+
+    def free(m):
+        return not any(g & m == g for g in gens)
+
+    return {m for m in range(1 << s.n) if free(m)
+            and not any(free(m | bit[v]) for v in s.vertices if not m & bit[v])}
+
+
+def _mixed_family(rng, n, sizes):
+    """A random antichain of label sets with sizes drawn from ``sizes``."""
+    labels = [f"v{i:02d}" for i in range(n)]
+    kept = []
+    for _ in range(rng.randint(0, 14)):
+        g = frozenset(rng.sample(labels, min(n, rng.choice(sizes))))
+        if not any(g <= h or h <= g for h in kept):
+            kept.append(g)
+    return labels, [sorted(g) for g in kept]
+
+
+def _given_by_nonfaces(seed):
+    """Complexes whose facets are derived: seeded mixed-size families on up
+    to 12 vertices, relaxed ones with singleton generators, the empty family,
+    one generator on the whole vertex set, and U(n, k) for n <= 10."""
+    rng = random.Random(seed)
+    out = [SC.from_minimal_nonfaces([], []), SC.from_minimal_nonfaces("abcd", []),
+           SC.from_minimal_nonfaces("abcd", ["abcd"]),
+           SC.from_minimal_nonfaces("a", ["a"], relaxed=True)]
+    for _ in range(60):
+        out.append(SC.from_minimal_nonfaces(
+            *_mixed_family(rng, rng.randint(2, 12), (2, 3, 4, 5))))
+        out.append(SC.from_minimal_nonfaces(
+            *_mixed_family(rng, rng.randint(1, 12), (1, 1, 2, 3, 4)), relaxed=True))
+    for n in range(1, 11):
+        labels = [f"{i:02d}" for i in range(n)]
+        for k in range(n):
+            out.append(SC.from_minimal_nonfaces(
+                labels, list(combinations(labels, k + 1)), relaxed=k == 0))
+    return out
+
+
+def test_dualized_facets_equal_a_subset_scan():
+    samples = _given_by_nonfaces(53)
+    assert any(len(g) == 1 for s in samples for g in s.minimal_nonfaces().generators)
+    assert any(len({len(g) for g in s.minimal_nonfaces().generators}) >= 4
+               for s in samples)
+    for s in samples:
+        assert "facet_masks" not in s.__dict__
+        assert len(set(s.facet_masks)) == len(s.facet_masks)
+        assert set(s.facet_masks) == _maximal_generator_free_scan(s), s.vertices
+
+
+@pytest.fixture
+def leaves(monkeypatch):
+    """The masks handed to complexes._antichain_max, one list per call."""
+    calls = []
+    work = complexes._antichain_max
+
+    def counted(masks):
+        calls.append(list(masks))
+        return work(masks)
+
+    monkeypatch.setattr(complexes, "_antichain_max", counted)
+    return calls
+
+
+def test_dualizing_u10_5_meets_each_facet_once_and_nothing_else(leaves):
+    labels = [f"{i:02d}" for i in range(10)]
+    T = SC.from_minimal_nonfaces(labels, combinations(labels, 6))
+    leaves.clear()
+    facets = T.facet_masks
+    assert len(leaves) == 1
+    assert len(leaves[0]) == len(set(leaves[0])) == 252
+    assert set(leaves[0]) == set(facets)
+
+
+def test_dualizing_a_mixed_family_branches_on_the_smallest_generator(leaves):
+    # 11 generators of sizes 2-5 on 12 vertices; a walk that branches on
+    # the first generator in label order and skips revisited sets hands
+    # over 340 leaves here
+    T = random_complex(random.Random(5), n_min=12, n_max=12, r_max=12, size_max=5)
+    assert sorted(map(len, T.minimal_nonfaces().generators)) == \
+        [2, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5]
+    leaves.clear()
+    assert len(T.facet_masks) == 59
+    assert len(leaves) == 1
+    assert len(leaves[0]) == len(set(leaves[0])) == 124
 
 
 def test_is_face():
