@@ -27,8 +27,10 @@ masks alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .report import check_limit
 
@@ -106,17 +108,24 @@ def _antichain_max(masks) -> list[int]:
 
     Containment needs a strictly larger mask, so each size class is tested
     only against the kept masks of greater size; a family of equal-size
-    faces (a pure complex) reduces in linear time.
+    faces (a pure complex) reduces in linear time.  A mask inside a kept
+    mask one size up is that mask less one vertex, so those sets are looked
+    up, not scanned; only the classes two or more sizes up are scanned.
     """
     by_size: dict[int, list[int]] = {}
     for m in set(masks):
         by_size.setdefault(m.bit_count(), []).append(m)
-    out: list[int] = []
+    kept: dict[int, list[int]] = {}
     for size in sorted(by_size, reverse=True):
-        bigger = list(out)
-        out.extend(m for m in by_size[size]
-                   if not any(m & k == m for k in bigger))
-    return out
+        keep = by_size[size]
+        under = {k ^ 1 << v for k in kept.get(size + 1, ()) for v in _bits(k)}
+        if under:
+            keep = [m for m in keep if m not in under]
+        far = [k for s, ks in kept.items() if s > size + 1 for k in ks]
+        if far:
+            keep = [m for m in keep if not any(m & k == m for k in far)]
+        kept[size] = keep
+    return [m for group in kept.values() for m in group]
 
 
 def _grown(masks, n: int):
@@ -149,7 +158,11 @@ class NonfaceFamily:
 
     Construction checks the family (no empty generator, no repeated vertex,
     no generator inside another) and sorts it; this is the check every
-    family arriving as label sets goes through, once.
+    family arriving as label sets goes through, once.  Only an equal set or
+    a larger one can hold a generator, so repeats are counted in a dict and
+    each generator is tested against the larger generators alone, largest
+    first; an equal-size family needs no pairwise test.  The first offending
+    generator is reported with the first generator that holds it.
     """
 
     generators: tuple[tuple[str, ...], ...]
@@ -157,15 +170,22 @@ class NonfaceFamily:
     def __post_init__(self):
         gens = [tuple(sorted(g)) for g in self.generators]
         sets = [frozenset(g) for g in gens]
+        largest_first = sorted(sets, key=len, reverse=True)
+        repeats = Counter(sets) if len(set(sets)) < len(sets) else {}
         for i, g in enumerate(sets):
             if not g:
                 raise ValueError("empty generator")
             if len(g) != len(gens[i]):
                 raise ValueError(f"repeated vertex in generator {gens[i]}")
-            for j, h in enumerate(sets):
-                if i != j and g <= h:
-                    raise ValueError(
-                        f"generators are not an antichain: {gens[i]} <= {gens[j]}")
+            for h in largest_first:
+                if len(h) > len(g):
+                    if not g < h:
+                        continue
+                elif repeats.get(g, 1) == 1:
+                    break  # past the larger ones, only a repeat holds g
+                j = next(k for k, s in enumerate(sets) if k != i and g <= s)
+                raise ValueError(
+                    f"generators are not an antichain: {gens[i]} <= {gens[j]}")
         object.__setattr__(self, "generators", tuple(sorted(gens)))
 
     def __len__(self):
@@ -345,21 +365,27 @@ def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     vertex of it and skips revisits would take, and this walk meets a subset
     of that walk's sets.  On U(n, k), whose nonfaces are the (k+1)-sets in
     lexicographic order, it is all of them, C(n+1, k+1) sets.
+
+    A child set's scan starts just past its parent's generator g: every
+    earlier generator misses the parent, hence the child, and g loses the
+    dropped vertex, so the first generator inside the child is where a scan
+    from the start would find it, with fewer containment tests.
     """
     gens = sorted(gen_masks, key=int.bit_count)
     found = []
-    stack = [((1 << n) - 1, 0)]
+    stack = [((1 << n) - 1, 0, 0)]
     while stack:
-        m, kept = stack.pop()
-        for g in gens:
+        m, kept, start = stack.pop()
+        for g in islice(gens, start, None):
             if g & m == g:
                 break
         else:
             found.append(m)
             continue
+        start = gens.index(g, start) + 1
         for v in _bits(g & ~kept):
             bit = 1 << v
-            stack.append((m ^ bit, kept))
+            stack.append((m ^ bit, kept, start))
             kept |= bit
     return _antichain_max(found)
 

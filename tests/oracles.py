@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 No library code calls them.  Each restates a definition on labels and plain
-sets, away from the bitmask code it checks.
+sets, away from the bitmask code it checks; the one walk over masks,
+``full_scan_leaves``, restates the dualization walk without its shortcut.
 """
 
 from itertools import combinations
@@ -124,3 +125,45 @@ def component_count(sets) -> int:
                 if ri != rj:
                     parent[rj] = ri
     return len({find(i) for i in range(len(fsets))})
+
+
+def antichain_error(generators) -> str | None:
+    """The message a checked nonface family raises, by testing every
+    ordered pair of generators; None for a valid family."""
+    gens = [tuple(sorted(g)) for g in generators]
+    sets = [frozenset(g) for g in gens]
+    for i, g in enumerate(sets):
+        if not g:
+            return "empty generator"
+        if len(g) != len(gens[i]):
+            return f"repeated vertex in generator {gens[i]}"
+        for j, h in enumerate(sets):
+            if i != j and g <= h:
+                return f"generators are not an antichain: {gens[i]} <= {gens[j]}"
+    return None
+
+
+def antichain_max_labels(sets) -> set[frozenset]:
+    """The label sets not strictly inside another one, pair by pair."""
+    sets = {frozenset(s) for s in sets}
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
+def full_scan_leaves(n: int, gen_masks) -> list[int]:
+    """The leaves of the branching dualization walk, in the order it finds
+    them, with every set's generator scan run from the first generator."""
+    gens = sorted(gen_masks, key=int.bit_count)
+    found = []
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        m, kept = stack.pop()
+        g = next((g for g in gens if g & m == g), None)
+        if g is None:
+            found.append(m)
+            continue
+        branch = g & ~kept
+        for v in range(n):
+            if branch >> v & 1:
+                stack.append((m ^ 1 << v, kept))
+                kept |= 1 << v
+    return found

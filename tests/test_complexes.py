@@ -11,7 +11,8 @@ from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
-from oracles import (euler_characteristics, face_groups, is_face, join,
+from oracles import (antichain_error, antichain_max_labels, euler_characteristics,
+                     face_groups, full_scan_leaves, is_face, join,
                      minimal_nonface_labels, points_complex)
 
 SC = SimplicialComplex
@@ -269,6 +270,86 @@ def test_dualizing_a_mixed_family_branches_on_the_smallest_generator(leaves):
     assert len(T.facet_masks) == 59
     assert len(leaves) == 1
     assert len(leaves[0]) == len(set(leaves[0])) == 124
+
+
+def test_the_walk_hands_over_the_leaves_of_a_full_scan_walk(leaves):
+    # each set's scan starts past its parent's generator; a scan from the
+    # first generator takes the same generator, so the same sets are met
+    for s in _given_by_nonfaces(61):
+        leaves.clear()
+        s.facet_masks
+        assert leaves == [full_scan_leaves(s.n, s.minimal_nonface_masks)]
+
+
+class CountedMask(int):
+    """A generator mask that counts the ``&`` taken with it on the left."""
+
+    tests = 0
+
+    def __and__(self, other):
+        CountedMask.tests += 1
+        return int(self) & other
+
+
+def test_resuming_each_scan_cuts_the_generator_tests_on_u10_5():
+    # one & per generator tested and one per set branched on; scanning each
+    # set from the first generator takes 75,285
+    labels = [f"{i:02d}" for i in range(10)]
+    T = SC.from_minimal_nonfaces(labels, combinations(labels, 6))
+    gens = [CountedMask(m) for m in T.minimal_nonface_masks]
+    CountedMask.tests = 0
+    assert set(complexes._maximal_generator_free(10, gens)) == set(T.facet_masks)
+    resumed = CountedMask.tests
+    CountedMask.tests = 0
+    full_scan_leaves(10, gens)
+    assert resumed == 21459 < CountedMask.tests
+
+
+def test_reducing_a_pure_complex_plus_faces_one_vertex_short():
+    # the kept facets one size up are found by their one-short subsets, the
+    # classes two or more sizes up are scanned
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(5, 12)
+        k = rng.randint(3, min(6, n - 1))
+        labels = [f"v{i:02d}" for i in range(n)]
+        facets = [rng.sample(labels, k) for _ in range(rng.randint(1, 30))]
+        given = facets + [rng.sample(f, k - 1) for f in rng.choices(facets, k=20)]
+        given += [rng.sample(labels, k - rng.choice((1, 1, 2))) for _ in range(20)]
+        rng.shuffle(given)
+        s = SC.from_facets(labels, given, relaxed=True)
+        assert {frozenset(f) for f in s.facets} == antichain_max_labels(given)
+        assert len(s.facets) == len(set(s.facets))
+
+
+def test_the_antichain_check_reports_what_a_pairwise_scan_reports():
+    rng = random.Random(83)
+    reported = []
+    for _ in range(300):
+        labels, family = _mixed_family(rng, rng.randint(3, 12), (1, 2, 3, 4, 5))
+        for _ in range(rng.randint(0, 2) if family else 0):
+            g = rng.choice(family)
+            plant = rng.choice(("repeat", "subset", "superset", "vertex"))
+            if plant == "repeat":
+                g = rng.sample(g, len(g))
+            elif plant == "subset":
+                g = rng.sample(g, rng.randint(1, len(g)))
+            elif plant == "superset":
+                others = [v for v in labels if v not in g]
+                g = g + rng.sample(others, min(1, len(others)))
+            else:
+                g = g + [rng.choice(g)]
+            family.insert(rng.randint(0, len(family)), g)
+        expected = antichain_error(family)
+        if expected is None:
+            assert NonfaceFamily(family).generators == tuple(sorted(map(tuple, family)))
+            continue
+        with pytest.raises(ValueError) as err:
+            NonfaceFamily(family)
+        assert str(err.value) == expected
+        reported.append(expected.split(":")[0].split(" in ")[0])
+    assert set(reported) == {"generators are not an antichain", "repeated vertex"}
+    assert len(reported) >= 100
 
 
 def test_is_face():
