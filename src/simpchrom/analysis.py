@@ -80,7 +80,7 @@ def log_concavity_report(S: SimplicialComplex,
     when chi_c is not computable.  Every scan also records the largest
     suffix window on which log concavity holds.
     """
-    sequences = {"h_vector": h_vector(S).entries, "f_vector": S.f_vector()}
+    sequences = {"h_vector": h_vector(S).entries, "f_vector": S.f_vector}
     chi_c, route = _chromatic_if_possible(S, assign)
     if chi_c is not None:
         sequences["chromatic"] = chi_c.coeffs

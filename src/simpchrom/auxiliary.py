@@ -424,7 +424,7 @@ def verify_main_theorem(S: SimplicialComplex, assign: AlphaAssignment) -> CheckR
         witness={"chromatic_reversed": list(reversed_lhs.coeffs),
                  "numerator": list(k_t.coeffs)},
         check_a_numerator_form=check_a,
-        check_b_h_form=reversed_lhs == h_t.polynomial(),
+        check_b_h_form=reversed_lhs == IntPolynomial(h_t.entries),
         chromatic=list(lhs.coeffs),
         numerator_T=list(k_t.coeffs),
         h_T=list(h_t.entries),

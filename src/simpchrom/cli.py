@@ -101,7 +101,7 @@ def cmd_hilbert(args):
         "numerator": poly_to_data(k),
         "numerator_pretty": format_poly(k),
         "h_vector": list(h.entries),
-        "f_vector": list(S.f_vector()),
+        "f_vector": list(S.f_vector),
         "d": h.d,
         "n": S.n,
     }

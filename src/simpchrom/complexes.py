@@ -304,12 +304,9 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(m.bit_count() for m in self.facet_masks) - 1
 
+    @cached_property
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{dim}); f_-1 = 1 counts the empty face."""
-        return self._f_vector
-
-    @cached_property
-    def _f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dimension + 2)
         for m in self.face_masks:
             counts[m.bit_count()] += 1

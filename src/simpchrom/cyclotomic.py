@@ -45,10 +45,6 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _is_prime(p: int) -> bool:
-    return _prime_factors(p) == {p: 1}
-
-
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """Phi_n as the power series of prod (1 - x^(n/d))^mu(d), truncated at
     its degree phi(n); for n > 1 the mu(d) sum to 0, so this is the product
@@ -101,7 +97,7 @@ class CyclotomicSpec:
         if len(set(ps)) != len(ps):
             raise ValueError("primes must be distinct")
         for p in ps:
-            if not _is_prime(p):
+            if _prime_factors(p) != {p: 1}:
                 raise ValueError(f"{p} is not prime")
         if not ps:
             raise ValueError("at least one prime required")
@@ -246,7 +242,7 @@ def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
     c_j, T = _residue_case(spec, j)
     h = h_vector(T)
     top_rank = len(smith_normal_form(boundary_matrix(T, T.dimension)))
-    top_betti = T.f_vector()[-1] - top_rank
+    top_betti = T.f_vector[-1] - top_rank
     sign = (-1) ** spec.d
     expected_top_betti = 1 if c_j == 0 else 0
     ok = top_betti == expected_top_betti

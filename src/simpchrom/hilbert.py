@@ -30,9 +30,6 @@ class HVector:
     def d(self) -> int:
         return len(self.entries) - 1
 
-    def polynomial(self) -> IntPolynomial:
-        return IntPolynomial(self.entries)
-
 
 def numerator_by_inclusion_exclusion(family: NonfaceFamily) -> IntPolynomial:
     """K(t) = sum over generator subsets I of (-1)^|I| t^|union of I|.
@@ -83,7 +80,7 @@ def h_from_f(f, d: int) -> tuple[int, ...]:
 
 
 def h_vector(S: SimplicialComplex) -> HVector:
-    return HVector(h_from_f(S.f_vector(), S.dimension + 1))
+    return HVector(h_from_f(S.f_vector, S.dimension + 1))
 
 
 def numerator_from_h(S: SimplicialComplex) -> IntPolynomial:
@@ -91,7 +88,7 @@ def numerator_from_h(S: SimplicialComplex) -> IntPolynomial:
     h = h_vector(S)
     exponent = S.n - (S.dimension + 1)
     one_minus_t = IntPolynomial((1, -1))
-    return h.polynomial() * one_minus_t ** exponent
+    return IntPolynomial(h.entries) * one_minus_t ** exponent
 
 
 def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
@@ -106,7 +103,7 @@ def standard_monomial_count(S: SimplicialComplex, m: int) -> int:
         raise ValueError("degree must be nonnegative")
     if m == 0:
         return 1
-    f = S.f_vector()
+    f = S.f_vector
     return sum(comb(m - 1, k - 1) * f[k] for k in range(1, len(f)))
 
 

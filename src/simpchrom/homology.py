@@ -5,18 +5,17 @@ faces, built column by column into sparse rows; ranks and torsion come from
 a Smith normal form computed by exact elimination over the sparse lines of
 the shorter side.  Boundary entries are 0 and +-1, so nearly every pivot is
 a unit and the lines stay short.  No modular tricks, and no dense row: a
-matrix builds its dense ``entries`` only when a caller reads them.  The
-face-count and SNF size guards read the face counts alone, and
-``boundary_matrix`` checks them before a matrix is built; so
-``reduced_homology`` builds every matrix, each checked once, before its
-first SNF.
+matrix is its sparse rows and its width, and only the benchmark reads the
+dense ``entries`` view, built on first read.  The face-count and SNF size
+guards read the face counts alone, and ``boundary_matrix`` checks them
+before a matrix is built; so ``reduced_homology`` builds every matrix, each
+checked once, before its first SNF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
 
 from .complexes import SimplicialComplex
@@ -26,36 +25,18 @@ FACE_COUNT_LIMIT = 5000
 SNF_DIMENSION_LIMIT = 500
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IntegerMatrix:
     """An exact integer matrix, held as sparse rows.
 
     ``sparse_rows[i]`` holds the (column, entry) pairs of row i's nonzeros,
-    by column.  The constructor takes dense rows of ints; ``entries`` gives
-    them back, and on a matrix built sparse it builds them on first read.
+    by column.  ``boundary_matrix`` is the one library code that builds
+    one.  The dense ``entries``, built on first read, serve only the
+    benchmark's GF(p) rank check (``perfbench/workloads.py``).
     """
 
     sparse_rows: tuple[tuple[tuple[int, int], ...], ...]
     ncols: int
-
-    def __init__(self, entries):
-        rows = tuple(map(tuple, entries))  # tuple rows are kept as they are
-        if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
-            raise TypeError("matrix entries must be int")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "sparse_rows", tuple(
-            tuple((j, x) for j, x in enumerate(r) if x) for r in rows))
-        object.__setattr__(self, "ncols", widths.pop() if widths else 0)
-        object.__setattr__(self, "entries", rows)  # the dense view, already built
-
-    @classmethod
-    def _sparse(cls, sparse_rows, ncols: int) -> IntegerMatrix:
-        M = cls.__new__(cls)
-        object.__setattr__(M, "sparse_rows", sparse_rows)
-        object.__setattr__(M, "ncols", ncols)
-        return M
 
     @property
     def nrows(self) -> int:
@@ -95,7 +76,7 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
             low = rest & -rest
             out[row_index[c ^ low]].append((j, sign))
             sign, rest = -sign, rest ^ low
-    return IntegerMatrix._sparse(tuple(map(tuple, out)), len(cols))
+    return IntegerMatrix(tuple(map(tuple, out)), len(cols))
 
 
 def _check_boundary_size(nrows: int, ncols: int) -> None:

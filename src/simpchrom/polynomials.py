@@ -23,14 +23,6 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, degree: int) -> "IntPolynomial":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
@@ -52,8 +44,6 @@ class IntPolynomial:
         return self.coeffs[degree]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -78,12 +68,7 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         return self + (-other)
-
-    def __rsub__(self, other) -> "IntPolynomial":
-        return (-self) + other
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
@@ -103,7 +88,7 @@ class IntPolynomial:
     def __pow__(self, k: int) -> "IntPolynomial":
         if k < 0:
             raise ValueError("negative powers are not polynomials")
-        result = IntPolynomial.one()
+        result = IntPolynomial((1,))
         base = self
         while k:
             if k & 1:
@@ -165,7 +150,7 @@ def reciprocal(p: IntPolynomial, n: int) -> IntPolynomial:
 def substitute_shift(p: IntPolynomial) -> IntPolynomial:
     """Return p(t-1), expanded exactly (Horner in the shifted variable)."""
     shift = IntPolynomial((-1, 1))
-    acc = IntPolynomial.zero()
+    acc = IntPolynomial(())
     for c in reversed(p.coeffs):
         acc = acc * shift + c
     return acc

@@ -3,12 +3,24 @@
 No library code calls them.  Each restates a definition on labels and plain
 sets, away from the bitmask code it checks; the one walk over masks,
 ``full_scan_leaves``, restates the dualization walk without its shortcut.
+``dense_matrix`` builds the matrices that the tests write out by hand.
 """
 
 from itertools import combinations
 from math import comb
 
 from simpchrom.complexes import SimplicialComplex
+from simpchrom.homology import IntegerMatrix
+
+
+def dense_matrix(rows) -> IntegerMatrix:
+    """The matrix of the given dense rows, all of ints and of one length."""
+    rows = tuple(map(tuple, rows))
+    ncols = len(rows[0]) if rows else 0
+    assert all(len(r) == ncols and all(type(x) is int for x in r)
+               for r in rows), rows
+    return IntegerMatrix(tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                               for r in rows), ncols)
 
 
 def points_complex(labels) -> SimplicialComplex:

@@ -27,7 +27,7 @@ SC = SimplicialComplex
 
 def test_uniform_matroid_fixtures():
     u42 = uniform_matroid_complex(4, 2)
-    assert u42.f_vector() == (1, 4, 6)
+    assert u42.f_vector == (1, 4, 6)
     u96 = uniform_matroid_complex(9, 6)
     assert len(u96.minimal_nonfaces()) == 36
     assert all(len(g) == 7 for g in u96.minimal_nonfaces().generators)
@@ -53,7 +53,7 @@ def test_uniform_matroid_apex_lift_nonfaces():
 
 def test_octahedron_fixture():
     octa = octahedron_boundary()
-    assert octa.f_vector() == (1, 6, 12, 8)
+    assert octa.f_vector == (1, 6, 12, 8)
     assert h_vector(octa).entries == (1, 3, 3, 1)
     assert octa.dimension == 2
     gens = [set(g) for g in octa.minimal_nonfaces().generators]

@@ -254,7 +254,7 @@ def test_chi_at_one_detects_full_simplex():
         s = random_complex(rng, n_max=6, r_max=4)
         expected = 1 if not s.minimal_nonface_masks else 0
         assert chromatic_polynomial(s).evaluate(1) == expected
-        assert s.f_vector()  # complex remains enumerable
+        assert s.f_vector  # complex remains enumerable
 
 
 def test_leading_coefficient_is_one():

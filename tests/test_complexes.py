@@ -123,12 +123,12 @@ def test_derived_nonface_family_equals_the_checked_one():
 
 def test_f_vector_fixtures():
     full3 = SC.from_minimal_nonfaces("abc", [])
-    assert full3.f_vector() == (1, 3, 3, 1)
+    assert full3.f_vector == (1, 3, 3, 1)
     assert euler_characteristics(full3) == (1, 0)
     two = points_complex("ab")
-    assert two.f_vector() == (1, 2)
+    assert two.f_vector == (1, 2)
     assert euler_characteristics(two) == (2, 1)
-    assert square_complex().f_vector() == (1, 4, 4)
+    assert square_complex().f_vector == (1, 4, 4)
 
 
 def test_face_count_matches_is_face_scan():
@@ -140,7 +140,7 @@ def test_face_count_matches_is_face_scan():
             for sub in combinations(s.vertices, k):
                 if is_face(s, sub):
                     total += 1
-        assert total == sum(s.f_vector()[1:])
+        assert total == sum(s.f_vector[1:])
 
 
 def _given_by_facets(seed):
@@ -380,8 +380,8 @@ def test_join_f_vector_convolution():
         n1 = s1.n
         labels2 = list(string.ascii_uppercase[:rng.randint(2, 4)])
         s2 = SC.from_facets(labels2, [labels2])
-        f1, f2 = s1.f_vector(), s2.f_vector()
-        fj = join(s1, s2).f_vector()
+        f1, f2 = s1.f_vector, s2.f_vector
+        fj = join(s1, s2).f_vector
         for k in range(len(fj)):
             conv = sum(f1[i] * f2[k - i]
                        for i in range(len(f1)) if 0 <= k - i < len(f2))
@@ -392,14 +392,14 @@ def test_empty_complex_on_no_vertices():
     empty = SC.from_facets([], [])
     assert empty.n == 0
     assert empty.dimension == -1
-    assert empty.f_vector() == (1,)
+    assert empty.f_vector == (1,)
 
 
 def test_vertex_guard():
     labels = [f"v{i:02d}" for i in range(26)]
     s = SC.from_facets(labels, [labels])
     with pytest.raises(GuardError) as err:
-        s.f_vector()
+        s.f_vector
     assert err.value.limit == "vertex_count"
 
 

@@ -206,7 +206,7 @@ def test_zero_vertex_and_one_vertex_edges():
     assert empty.minimal_nonfaces().generators == ()
     point = points_complex("a")
     assert chromatic_polynomial(point) == P((0, 1))
-    assert point.f_vector() == (1, 1)
+    assert point.f_vector == (1, 1)
     # join with the empty complex is the identity
     assert join(empty, point) == point
 

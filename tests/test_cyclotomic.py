@@ -199,10 +199,10 @@ def test_the_top_block_covers_every_codimension_one_transversal(primes, labeling
 
 def test_three_prime_counts():
     ka = build_residue_subcomplex(CyclotomicSpec((3, 5, 7), ZERO_BASED), {7})
-    assert ka.f_vector() == (1, 15, 71, 58)
+    assert ka.f_vector == (1, 15, 71, 58)
     assert ka.dimension == 2
     one = build_residue_subcomplex(CyclotomicSpec((3, 5, 7)), {7})
-    assert one.f_vector() == (1, 15, 71, 57)
+    assert one.f_vector == (1, 15, 71, 57)
 
 
 def test_torsion_experiment_3_5_7():

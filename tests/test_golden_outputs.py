@@ -111,6 +111,22 @@ FILES = {
     # K_8: 28 edges, so 28 minimal nonfaces
     "k8-graph.json": {"graph_vertices": list("abcdefgh"),
                       "edges": [list(e) for e in combinations("abcdefgh", 2)]},
+    # malformed input files: each one fails one check of the reader
+    "complex-array.json": [["a", "b"]],
+    # a string is written as it stands: a comma is missing at line 2
+    "malformed.json": '{"vertices": ["a", "b"]\n"facets": [["a", "b"]]}',
+    "no-vertices.json": {"facets": [["a", "b"]]},
+    "facets-string.json": {"vertices": ["a", "b"], "facets": "ab"},
+    "graph-repeated-label.json": {"graph_vertices": ["a", "b", "a"],
+                                  "edges": [["a", "b"]]},
+    "graph-unknown-key.json": {"graph_vertices": ["a", "b"],
+                               "edges": [["a", "b"]], "x": 1},
+    "graph-no-edges.json": {"graph_vertices": ["a", "b"]},
+    "graph-edges-string.json": {"graph_vertices": ["a", "b"], "edges": "ab"},
+    "alpha-object.json": {"sigma": ["a", "c"], "alpha": ["a"]},
+    # |alpha| = |sigma| for sigma ac
+    "square-alpha-too-big.json": [{"sigma": ["a", "c"], "alpha": ["a", "c"]},
+                                  {"sigma": ["b", "d"], "alpha": ["b"]}],
 }
 
 RUNS = {
@@ -218,6 +234,21 @@ RUNS = {
     # and the route says so
     "logconcavity-alpha-guard": ["logconcavity", "u7-4-apex.json", "--alpha",
                                  "u7-4-apex-alpha-not-apex.json"],
+    # input errors: exit 2 with "input error: <where>: <message>" on stderr
+    "error-complex-array": ["hilbert", "complex-array.json"],
+    "error-malformed-json": ["hilbert", "malformed.json"],
+    "error-missing-vertices": ["hilbert", "no-vertices.json"],
+    "error-facets-string": ["hilbert", "facets-string.json"],
+    "error-graph-repeated-label": ["chromatic", "graph-repeated-label.json"],
+    "error-graph-unknown-key": ["chromatic", "graph-unknown-key.json"],
+    "error-graph-missing-edges": ["chromatic", "graph-no-edges.json"],
+    "error-graph-edges-string": ["chromatic", "graph-edges-string.json"],
+    "error-alpha-object": ["verify-theorem", "square.json", "--alpha",
+                           "alpha-object.json"],
+    "error-alpha-size": ["verify-theorem", "square.json", "--alpha",
+                         "square-alpha-too-big.json"],
+    "error-empty-nonface": ["verify-ac", "square.json", "--nonface", ","],
+    "error-no-alpha-source": ["verify-theorem", "square.json"],
 }
 
 DIGESTS = {
@@ -247,16 +278,40 @@ DIGESTS = {
         "be15521b1cef11bcfbc3ef5bb3afb3d5739284793c762e3c106f37478e9a07cf",
     "error-alpha-not-antichain":
         "ac4d5379c1c851542552d392624837c4a93145513c929014a0bfe77b68552da4",
+    "error-alpha-object":
+        "3db5391640d29e7cc11e4ef51abe1c04a6286efc33cd9242712b9b18fe8a2c80",
     "error-alpha-repeated-label":
         "d736b9855ea57ee8242c56df441fc010a78161d97fa0b96d8c4107822310953b",
+    "error-alpha-size":
+        "ca26f983ae769f54147749434d920c605a3327a97dc4286b3b04267d6be9b7d4",
+    "error-complex-array":
+        "b55cc22d27262e23a5fc0b6f438136a56cd05b50d360482dcfdb9341d4a6ddc8",
+    "error-empty-nonface":
+        "71593143807fa0e6d3ca1f4521cf2264a6dfa234fca7d8076fa28c9184057797",
     "error-facet-label":
         "e5f89786e409155ac8797a3b3f2c4a1aea8e79b6ca6430dc7a54f9ca8cf8c78a",
+    "error-facets-string":
+        "8579352165e101ef61c62d92d074df5f8a249f1e2f081cf9e78a1c3799dda460",
     "error-generator-label":
         "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
+    "error-graph-edges-string":
+        "5f20b71718f544db84d57c740f21f4795320bb6cd2325b337a0095098d52e53c",
+    "error-graph-missing-edges":
+        "54975a6fa1224f96b81aa3a8c273b2116f6062bdf789aed17dcb644fe5830e86",
+    "error-graph-repeated-label":
+        "b219e382487c1f36b35bee0b734f345b7fb2277e9d25244eeed65acb0b142f8a",
+    "error-graph-unknown-key":
+        "ed0aa54681ed41326a916b14ac6c0b762db3a36a768d6101d395281cf8de0c0a",
+    "error-malformed-json":
+        "91830a54960462b699fc2cccb223aa13ff20136a5a35981e213ceae268905642",
+    "error-missing-vertices":
+        "e317af021e2eb9d1cb9b188304842a6ff0c066f76f37e0f4591d3002db460093",
     "error-negative-expand":
         "5c50a1d8b8d9c443c6487ef79d226179e694074126183733762ef56a3b37b767",
     "error-negative-q":
         "5395183ac5e78a83cc1ed5fbb5b62840d1deb41c6079184470b0d0ec67225217",
+    "error-no-alpha-source":
+        "b561e0f5ed67e14832dcdde3698ebb4ececc9adbf0d9b12805de472725a71866",
     "error-nonface-label":
         "2ee701a2837f412ef6fb36ec133d35dcc1a64666b78e8feeb345dbcd51f1ef7d",
     "error-not-antichain":
@@ -363,7 +418,8 @@ DIGESTS = {
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     for name, payload in FILES.items():
-        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 

@@ -46,7 +46,7 @@ def test_h_f_conversions_are_mutually_inverse():
         assert h_from_f(f_from_h(h, d), d) == h
     for _ in range(40):
         s = random_complex(rng, n_max=7)
-        f = s.f_vector()
+        f = s.f_vector
         d = s.dimension + 1
         assert f_from_h(h_from_f(f, d), d) == f
 
@@ -130,7 +130,7 @@ def test_h_vector_invariants():
         s = random_complex(rng, n_max=7)
         h = h_vector(s)
         assert h.entries[0] == 1
-        assert sum(h.entries) == s.f_vector()[-1]
+        assert sum(h.entries) == s.f_vector[-1]
 
 
 def test_top_entry_tracks_euler_characteristic():

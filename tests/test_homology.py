@@ -17,7 +17,8 @@ from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
-from oracles import euler_characteristics, face_groups, points_complex
+from oracles import (dense_matrix, euler_characteristics, face_groups,
+                     points_complex)
 
 SC = SimplicialComplex
 
@@ -31,28 +32,32 @@ def octahedron():
 
 
 def test_integer_matrix_validation():
-    with pytest.raises(ValueError):
-        IntegerMatrix(((1, 2), (3,)))
-    m = IntegerMatrix(((1, 2), (3, 4)))
-    assert m.nrows == m.ncols == 2
-    with pytest.raises(TypeError, match="entries must be int"):
-        IntegerMatrix(((1, 2.7), (3, 4)))  # int() would truncate it to 2
-    with pytest.raises(TypeError):
-        IntegerMatrix(((1, "2"),))
-    assert IntegerMatrix(((True, 0),)).entries == ((1, 0),)
-    rows = ((1, 0), (0, 1))
-    assert all(a is b for a, b in zip(IntegerMatrix(rows).entries, rows))
+    m = IntegerMatrix((((0, 1), (1, 2)), (), ((1, -3),)), 2)
+    assert (m.nrows, m.ncols) == (3, 2)
+    assert m.entries == ((1, 2), (0, 0), (0, -3))  # an empty row is all zeros
+    assert all(type(x) is int for row in m.entries for x in row)
+    assert m.entries is m.entries  # built once, on first read
+    assert IntegerMatrix((), 0).entries == ()
+    assert dense_matrix(m.entries) == m
+    with pytest.raises(AssertionError):
+        dense_matrix(((1, 2), (3,)))  # ragged rows
+    with pytest.raises(AssertionError):
+        dense_matrix(((1, 2.7), (3, 4)))  # int() would truncate it to 2
+    with pytest.raises(AssertionError):
+        dense_matrix(((1, "2"),))
 
 
 def test_integer_matrix_is_frozen_and_one_value_across_constructors():
-    B = boundary_matrix(octahedron(), 1)  # built sparse
-    D = IntegerMatrix(B.entries)  # the same matrix, built dense
+    B = boundary_matrix(octahedron(), 1)  # built by the library
+    D = dense_matrix(B.entries)  # the same matrix, from its dense rows
     assert B == D and hash(B) == hash(D) and B.sparse_rows == D.sparse_rows
+    assert (D.nrows, D.ncols) == (6, 12)
     assert {B: 1}[D] == 1
     for field in ("sparse_rows", "ncols", "nrows"):
         with pytest.raises(FrozenInstanceError):
             setattr(B, field, ())
-    assert B != IntegerMatrix(((0,) * 12,) * 6)  # same shape, no entries
+    assert B != dense_matrix(((0,) * 12,) * 6)  # same shape, no entries
+    assert B != IntegerMatrix(B.sparse_rows, 13)  # same rows, one column wider
 
 
 def test_boundary_matrix_shapes_and_signs():
@@ -81,7 +86,7 @@ def _labelled_boundary(s, k):
     for j, c in enumerate(cols):
         for i in range(len(c)):
             out[index[c[:i] + c[i + 1:]]][j] = (-1) ** i
-    return IntegerMatrix(tuple(map(tuple, out)))
+    return dense_matrix(out)
 
 
 def test_boundary_matrix_matches_the_labelled_oracle():
@@ -149,16 +154,16 @@ def test_boundary_matrices_sort_the_faces_once(monkeypatch):
 
 
 def test_smith_normal_form_fixtures():
-    assert smith_normal_form(IntegerMatrix(((1, 0), (0, 1)))) == (1, 1)
-    assert smith_normal_form(IntegerMatrix(((2, 4), (0, 6)))) == (2, 6)
-    assert smith_normal_form(IntegerMatrix(((0, 0), (0, 0)))) == ()
+    assert smith_normal_form(dense_matrix(((1, 0), (0, 1)))) == (1, 1)
+    assert smith_normal_form(dense_matrix(((2, 4), (0, 6)))) == (2, 6)
+    assert smith_normal_form(dense_matrix(((0, 0), (0, 0)))) == ()
     # standard torsion example: 2x2 with determinant 4 and content 2
-    assert smith_normal_form(IntegerMatrix(((2, 0), (0, 2)))) == (2, 2)
-    assert smith_normal_form(IntegerMatrix(((1, 2), (3, 4)))) == (1, 2)
+    assert smith_normal_form(dense_matrix(((2, 0), (0, 2)))) == (2, 2)
+    assert smith_normal_form(dense_matrix(((1, 2), (3, 4)))) == (1, 2)
     # diagonal entries that do not divide each other must be repaired
-    assert smith_normal_form(IntegerMatrix(((2, 0), (0, 3)))) == (1, 6)
-    assert smith_normal_form(IntegerMatrix(((6, 0, 0), (0, 10, 0),
-                                            (0, 0, 15)))) == (1, 30, 30)
+    assert smith_normal_form(dense_matrix(((2, 0), (0, 3)))) == (1, 6)
+    assert smith_normal_form(dense_matrix(((6, 0, 0), (0, 10, 0),
+                                           (0, 0, 15)))) == (1, 30, 30)
 
 
 def test_smith_normal_form_random_properties():
@@ -166,8 +171,8 @@ def test_smith_normal_form_random_properties():
     for _ in range(60):
         rows = rng.randint(1, 8)
         cols = rng.randint(1, 8)
-        m = IntegerMatrix(tuple(
-            tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows)))
+        m = dense_matrix(
+            [rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows))
         inv = smith_normal_form(m)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
@@ -192,10 +197,10 @@ def test_smith_normal_form_of_the_transpose():
                   for _ in range(cols)) for _ in range(rows)))
     torsion = 0
     for rows in cases:
-        inv = smith_normal_form(IntegerMatrix(rows))
-        assert smith_normal_form(IntegerMatrix(tuple(zip(*rows)))) == inv, rows
+        inv = smith_normal_form(dense_matrix(rows))
+        assert smith_normal_form(dense_matrix(tuple(zip(*rows)))) == inv, rows
         torsion += any(d > 1 for d in inv)
-    assert smith_normal_form(IntegerMatrix(cases[2])) == (1,) * 9 + (2,)
+    assert smith_normal_form(dense_matrix(cases[2])) == (1,) * 9 + (2,)
     assert torsion > 30
 
 
@@ -217,7 +222,7 @@ def test_invariant_product_equals_determinant_magnitude():
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-        inv = smith_normal_form(IntegerMatrix(rows))
+        inv = smith_normal_form(dense_matrix(rows))
         prod = 1
         for d in inv:
             prod *= d
@@ -237,7 +242,7 @@ def test_invariants_are_quotients_of_determinantal_divisors():
               for _ in range(cols)] for _ in range(rows)]
         if trial % 3 == 0 and rows > 1:  # a dependent row
             a[-1] = [x - 2 * y for x, y in zip(a[0], a[-2])]
-        inv = smith_normal_form(IntegerMatrix(tuple(map(tuple, a))))
+        inv = smith_normal_form(dense_matrix(a))
         product = 1
         for k in range(1, min(rows, cols) + 1):
             minors = [_det([[a[i][j] for j in cs] for i in rs])
@@ -298,7 +303,7 @@ def test_seven_vertex_torus():
         tris.append((labs[i], labs[(i + 1) % 7], labs[(i + 3) % 7]))
         tris.append((labs[i], labs[(i + 2) % 7], labs[(i + 3) % 7]))
     s = SC.from_facets(labs, tris)
-    assert s.f_vector() == (1, 7, 21, 14)
+    assert s.f_vector == (1, 7, 21, 14)
     assert euler_characteristics(s)[0] == 0
     assert reduced_homology(s) == {0: (0, ()), 1: (2, ()), 2: (1, ())}
 
@@ -334,7 +339,7 @@ def test_invariant_count_matches_rational_rank():
         cols = rng.randint(1, 7)
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(cols))
                   for _ in range(rows))
-        assert len(smith_normal_form(IntegerMatrix(m))) == _rational_rank(m)
+        assert len(smith_normal_form(dense_matrix(m))) == _rational_rank(m)
 
 
 def test_face_count_guard(monkeypatch):
@@ -353,7 +358,7 @@ def test_matrix_size_guard_fires_before_the_matrix_is_built(monkeypatch):
     assert boundary_matrix(u, 2).nrows == 120  # 120 x 560: short side 120
 
     class Unbuilt(IntegerMatrix):
-        # every constructor, dense or sparse, makes its matrix through __new__
+        # the dataclass constructor makes its matrix through __new__
         def __new__(cls, *args):
             raise AssertionError("boundary matrix allocated past the SNF limit")
 
@@ -420,9 +425,9 @@ def test_reduced_homology_checks_each_matrix_once(monkeypatch):
 
 def test_matrix_size_guard_in_smith_normal_form(monkeypatch):
     monkeypatch.setattr(homology, "SNF_DIMENSION_LIMIT", 2)
-    assert smith_normal_form(IntegerMatrix(((1, 0, 0), (0, 2, 0)))) == (1, 2)
+    assert smith_normal_form(dense_matrix(((1, 0, 0), (0, 2, 0)))) == (1, 2)
     with pytest.raises(GuardError) as exc:
-        smith_normal_form(IntegerMatrix(((1, 0, 0), (0, 2, 0), (0, 0, 3))))
+        smith_normal_form(dense_matrix(((1, 0, 0), (0, 2, 0), (0, 0, 3))))
     err = exc.value
     assert (err.limit, err.measured, err.bound, str(err)) == (
         "matrix_size", 3, 2,

@@ -41,6 +41,19 @@ def test_power():
     assert P((1, 1)) ** 0 == P((1,))
 
 
+def test_public_preconditions_fire():
+    with pytest.raises(TypeError,
+                       match=r"^integer coefficient expected, got 1\.5$"):
+        P((1.5,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        P.monomial(-1)
+    p = P((1, 1))
+    with pytest.raises(IndexError, match="negative degrees"):
+        p[-1]
+    with pytest.raises(ValueError, match="negative powers"):
+        p ** -1
+
+
 def test_reciprocal_reverses_coefficients():
     assert reciprocal(P((1, 0, -1)), 3) == P((0, -1, 0, 1))
     assert reciprocal(P((1,)), 0) == P((1,))
