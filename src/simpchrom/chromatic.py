@@ -4,12 +4,16 @@ The polynomial is t^n plus, for every nonempty subset I of the minimal
 nonfaces, a signed term t^(n - |union of I| + c(I)) where c(I) counts the
 connected components of the intersection graph of I.  The terms are added
 up by state, not one subset at a time: subsets that agree on everything a
-later nonface can still change share one signed count.  Two independent
-oracles live alongside: the finite-model count, which counts the colourings
-with no monochromatic minimal nonface from the ways to split the vertices
-into k colour classes that hold no nonface, counted once per complex for
-every k a q asks (it shares only the nonface bitmasks and the later-unions
-helper with the sum), and the classical graph chromatic polynomial via
+later nonface can still change share one key, whose value packs their
+signed counts by exponent into one integer of W-bit digits.  W = min(r,
+n * bit length of n) + 2 holds every final coefficient, since each is at
+most 2^r and together they are at most n^n in absolute value
+(chromatic_polynomial has the proof).  Two independent oracles live
+alongside: the finite-model count, which counts the colourings with no
+monochromatic minimal nonface from the ways to split the vertices into k
+colour classes that hold no nonface, counted once per complex for every k a
+q asks (it shares only the nonface bitmasks and the later-unions helper
+with the sum), and the classical graph chromatic polynomial via
 deletion-contraction.
 
 Sign convention: the direct inclusion-exclusion expansion of the removed
@@ -43,8 +47,9 @@ class Graph:
 
     def __post_init__(self):
         labs = tuple(sorted(self.vertices))
-        if len(set(labs)) != len(labs):
-            raise ValueError("duplicate vertex labels")
+        repeated = sorted({a for a, b in zip(labs, labs[1:]) if a == b})
+        if repeated:
+            raise ValueError(f"duplicate vertex labels: {repeated}")
         seen = set()
         edges = []
         for a, b in self.edges:
@@ -69,30 +74,39 @@ def complete_graph(n: int) -> Graph:
 
 def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
     """Inclusion-exclusion over all subsets of the minimal nonfaces, summed
-    by state.
+    by the shape of their live components.
 
     The minimal nonface masks are taken in order, and each subset I either
     holds the next one or leaves it out.  All the rest of the sum needs to
-    know of I is its state: the exponent n - |union of I| + c(I) so far, and
-    the components of I cut down to the live vertices, those a later
-    generator holds.  A vertex retires after its last generator, which no
-    later one can reach, so a component just drops it.  Subsets in one state
-    add up their signed counts, and the last generator reads each state
-    straight into the coefficients.  The cost is the live states, not the
-    2^r subsets; check_live_states bounds them, and their sum over the walk.
+    know of I is its drop n - e, where t^e is its term, and its components
+    cut down to the live vertices, those a later generator holds.  A vertex
+    retires after its last generator, which no later one can reach, so a
+    component just drops it.  Subsets of one shape share a key, whose value
+    packs their signed counts as sum of c_j 2^(W j), j being the drop less
+    the shape's least drop, sum of |C| - 1 over its components C: the
+    retired vertices of I less its wholly retired components.  So a value
+    shifts left only as vertices retire.  The last generator folds the keys
+    into one total, read off as balanced base-2^W digits.
+
+    The values are polynomials in x at x = 2^W, where add, subtract and
+    shift are exact, so a digit may overflow on the way; only the final
+    coefficients need |c_j| < 2^(W-1).  Each of the 2^r subsets adds +-1 to
+    one coefficient, so |c_j| <= 2^r.  And chi_c(t) = sum_k p_k (t)_k, for
+    p_k <= S(n, k) the partitions of the vertices into k faces; (t)_k has
+    coefficients of absolute sum k!, so sum_j |c_j| <= sum_k S(n, k) k!,
+    the maps of the vertices onto some [k], at most the n^n maps into [n],
+    and n^n < 2^(n L) for L the bit length of n.  Hence W = min(r, n L) + 2.
+    The cost is the live keys, not the 2^r subsets; check_live_states
+    bounds them, and their sum over the walk.
     """
     n, gens = S.n, S.minimal_nonface_masks
-    coeff = [0] * (n + 1)
-    if not gens:
-        coeff[n] = 1
-        return IntPolynomial(coeff)
-    states = {((), n): 1}  # (live components, exponent) -> signed count
+    width = min(len(gens), n * n.bit_length()) + 2
+    states = {(): 1}  # live components -> signed counts packed by drop
     summed = 0
     for g, live in zip(gens, _later_unions(gens)[:-1]):
         retiring = g & ~live
         nxt = states.copy()  # the subsets that leave g out
-        for state, count in states.items():
-            comps, e = state
+        for comps, packed in states.items():
             met = 0
             rest = []
             for cm in comps:
@@ -101,30 +115,38 @@ def chromatic_polynomial(S: SimplicialComplex) -> IntPolynomial:
                 else:
                     rest.append(cm)
             if met & retiring:  # its copy holds vertices that retire with g
-                del nxt[state]
-                out = (tuple(sorted(cm & live for cm in comps if cm & live)), e)
-                nxt[out] = nxt.get(out, 0) + count
-            e += len(rest) - len(comps) + 1 - (g & ~met).bit_count()
+                del nxt[comps]
+                out = tuple(sorted(cm & live for cm in comps if cm & live))
+                # j gains the vertices that retire, less the components gone
+                shift = (met & retiring).bit_count() - len(comps) + len(out)
+                nxt[out] = nxt.get(out, 0) + (packed << width * shift)
             merged = (g | met) & live
             if merged:
                 rest.append(merged)
                 rest.sort()
-            held = (tuple(rest), e)
-            nxt[held] = nxt.get(held, 0) - count
+            # held, j gains the join's vertices that retire, less one if all do
+            shift = ((g | met) & retiring).bit_count() - (not merged)
+            held = tuple(rest)
+            nxt[held] = nxt.get(held, 0) - (packed << width * shift)
         states = nxt
         summed += len(states)
         check_live_states(len(states), summed,
                           "use the auxiliary-complex identity instead")
-    g = gens[-1]
-    for (comps, e), count in states.items():
-        met = 0
-        joined = 0
-        for cm in comps:
-            if cm & g:
-                met |= cm
-                joined += 1
-        coeff[e] += count
-        coeff[e + 1 - joined - (g & ~met).bit_count()] -= count
+    # every live vertex at the last generator g lies in g, so holding g joins
+    # every component into one, for drop j + |g| - 1
+    total = joined = 0
+    for comps, packed in states.items():
+        total += packed << width * (sum(map(int.bit_count, comps)) - len(comps))
+        joined += packed
+    if gens:
+        total -= joined << width * (gens[-1].bit_count() - 1)
+    coeff = [0] * (n + 1)
+    half = 1 << width - 1
+    e = n
+    while total:  # balanced digits, the least drop first
+        coeff[e] = digit = (total + half & 2 * half - 1) - half
+        total = (total - digit) >> width
+        e -= 1
     return IntPolynomial(coeff)
 
 

@@ -34,11 +34,13 @@ def check_limit(name: str, measured: int, bound: int, what: str,
 
 
 # Live states a state-summed inclusion-exclusion may carry from one
-# generator to the next, and states it may sum over its whole walk.  A chi_c
-# sum measured about 280 B of peak RSS per state (the dict being built
-# included), so the first is a budget of about 75 MB; one generator can at
-# most double the count before the check.  Time goes with the second: 25
-# full steps, more than any sum of 25 generators takes.
+# generator to the next, and states it may sum over its whole walk.  chi_c's
+# refusals on 35-100 vertices measured 260-345 B of peak RSS per live key
+# (the dict being built included; a key's packed value grows with r, to
+# 118 B on 100 vertices, whose refusal peaks at 187 MB against 158 MB with
+# one state per exponent), so the first is a budget of 65-90 MB; one
+# generator can at most double the count before the check.  Time goes with
+# the second: 25 full steps, more than any sum of 25 generators takes.
 STATE_LIMIT = 2 ** 18
 STATE_WORK_LIMIT = 25 * STATE_LIMIT
 

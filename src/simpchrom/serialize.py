@@ -103,7 +103,7 @@ def graph_from_data(data, where: str = "<data>") -> Graph:
     for key in ("graph_vertices", "edges"):
         if key not in data:
             raise InputError(where, f"missing key {key!r}")
-    vertices = _string_list(data["graph_vertices"], f"{where}.graph_vertices")
+    vertices = _label_set(data["graph_vertices"], f"{where}.graph_vertices")
     edges = []
     raw = data["edges"]
     if not isinstance(raw, list):

@@ -89,10 +89,11 @@ def _chromatic_not_applicable(rep, reason):
 
 
 def test_a_guard_on_the_direct_route_is_not_applicable(monkeypatch):
-    # the chi_c sum holds two live states after the first nonface
-    monkeypatch.setattr(report, "STATE_LIMIT", 1)
+    # the chi_c sum holds one key after the first nonface, whose vertices
+    # retire with it
+    monkeypatch.setattr(report, "STATE_LIMIT", 0)
     rep = log_concavity_report(octahedron_boundary())
-    _chromatic_not_applicable(rep, "2 live states exceed the 1 limit; "
+    _chromatic_not_applicable(rep, "1 live states exceed the 0 limit; "
                                    "use the auxiliary-complex identity instead")
     subs = rep.details["sub_results"]
     assert subs["h_vector"]["verdict"] == subs["f_vector"]["verdict"] == "PASS"

@@ -7,6 +7,7 @@ import pytest
 
 from simpchrom import chromatic, report
 from simpchrom.analysis import uniform_matroid_complex
+from simpchrom.auxiliary import lift_with_apex
 from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
                                  chromatic_polynomial,
                                  complete_graph, complex_of_graph,
@@ -14,8 +15,8 @@ from simpchrom.chromatic import (Graph, MERGE_VERTEX, REMOVE_ONLY,
                                  graph_chromatic, tidied_contraction,
                                  verify_addition_contraction)
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
-from simpchrom.hilbert import numerator_by_inclusion_exclusion
-from simpchrom.polynomials import IntPolynomial
+from simpchrom.hilbert import numerator_by_inclusion_exclusion, numerator_from_h
+from simpchrom.polynomials import IntPolynomial, reciprocal
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex, random_graph
 
@@ -68,6 +69,20 @@ def test_past_25_nonfaces_against_independent_routes():
     u96 = uniform_matroid_complex(9, 6)
     chi = chromatic_polynomial(u96)
     assert all(chi.evaluate(q) == finite_model_count(u96, q) for q in range(8))
+
+
+def test_digits_sized_by_n_to_the_n_against_independent_routes():
+    # r > n * bit length of n, so each coefficient gets that many bits plus
+    # two: K_10 and K_11 have 45 > 40 and 55 > 44 edges, and the apex lifts
+    # of U(9..11, n // 2) 126 > 40, 210 > 44 and 462 > 48 minimal nonfaces
+    for n in (10, 11):
+        k = complex_of_graph(complete_graph(n))
+        assert chromatic_polynomial(k) == falling_factorial(n)
+    for n in (9, 10, 11):
+        t = uniform_matroid_complex(n, n // 2)
+        s, _ = lift_with_apex(t)
+        assert len(s.minimal_nonface_masks) > s.n * s.n.bit_length()
+        assert reciprocal(chromatic_polynomial(s), s.n) == numerator_from_h(t)
 
 
 def test_complete_graph_specialization():
@@ -303,6 +318,8 @@ def test_graph_validation():
         Graph(("a", "b"), (("a", "b"), ("b", "a")))
     with pytest.raises(ValueError, match="unknown"):
         Graph(("a", "b"), (("a", "c"),))
+    with pytest.raises(ValueError, match=r"^duplicate vertex labels: \['a', 'c'\]$"):
+        Graph(("c", "a", "b", "a", "c", "c"), ())
 
 
 def test_tidied_contraction_two_vertex():
@@ -432,19 +449,22 @@ def wide_nonfaces(seed):
     return sorted(tuple(sorted(g)) for g in gens)
 
 
+def wide_complex(gens):
+    return SC([f"v{v:02d}" for v in range(25)],
+              nonface_masks=[sum(1 << v for v in g) for g in gens])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_live_state_guard(seed, monkeypatch):
-    # under the default limit chi_c peaks at 93,248-143,628 live states
-    # here, K(t) at 11,885-17,470
+    # under the default limit chi_c peaks at 51,856-78,259 live keys here,
+    # K(t) at 11,885-17,470 live states
     gens = wide_nonfaces(seed)
     assert len(gens) == 25
     family = NonfaceFamily(tuple(tuple(f"v{v:02d}" for v in g) for g in gens))
     assert numerator_by_inclusion_exclusion(family).evaluate(1) == 0
     monkeypatch.setattr(report, "STATE_LIMIT", 2000)
     with pytest.raises(GuardError) as err:
-        chromatic_polynomial(SC(
-            [f"v{v:02d}" for v in range(25)],
-            nonface_masks=[sum(1 << v for v in g) for g in gens]))
+        chromatic_polynomial(wide_complex(gens))
     assert err.value.limit == "live_states"
     count = int(str(err.value).split()[0])
     assert count > 2000
@@ -456,8 +476,23 @@ def test_live_state_guard(seed, monkeypatch):
     assert "h-vector" in str(err.value)
 
 
+@pytest.mark.parametrize("seed, peak, summed", [
+    (0, 58_410, 189_769), (1, 51_856, 185_681), (2, 78_259, 317_300)])
+def test_chi_c_keeps_one_key_per_live_shape(seed, peak, summed, monkeypatch):
+    # a key per shape of live components, whatever drops its subsets have;
+    # one state per shape and exponent peaked at 93,248-143,628 here and
+    # summed 384,486-620,014
+    counts = []
+    monkeypatch.setattr(chromatic, "check_live_states",
+                        lambda live, total, route: counts.append((live, total)))
+    chromatic_polynomial(wide_complex(wide_nonfaces(seed)))
+    assert max(live for live, _ in counts) == peak
+    assert counts[-1][1] == summed
+
+
 def test_state_work_guard(monkeypatch):
-    # U(12,6) sums 657,820 states in either sum; both pass 10,000 at 10,207
+    # U(12,6) sums 559,160 keys in chi_c and 657,820 states in K(t); both
+    # pass 10,000 at 10,207
     u126 = uniform_matroid_complex(12, 6)
     monkeypatch.setattr(report, "STATE_WORK_LIMIT", 10_000)
     with pytest.raises(GuardError) as err:

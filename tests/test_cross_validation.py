@@ -80,6 +80,22 @@ def test_chromatic_matches_naive_subset_loop():
         assert chromatic_polynomial(s) == naive_chromatic(s)
 
 
+def test_chromatic_matches_naive_subset_loop_on_relaxed_complexes():
+    # r <= n * bit length of n, so each coefficient gets r + 2 bits;
+    # singleton nonfaces, which make chi_c zero, included
+    rng = random.Random(29)
+    for _ in range(200):
+        labels = _labels(rng.randint(1, 7))
+        kept = []
+        for _ in range(rng.randint(0, 6)):
+            g = frozenset(rng.sample(labels, rng.randint(1, min(4, len(labels)))))
+            if not any(g <= h or h <= g for h in kept):
+                kept.append(g)
+        s = SC.from_minimal_nonfaces(labels, [sorted(g) for g in kept], relaxed=True)
+        assert len(kept) <= s.n * s.n.bit_length()
+        assert chromatic_polynomial(s) == naive_chromatic(s)
+
+
 def _labels(n):
     return [f"v{i:02d}" for i in range(n)]
 

@@ -299,7 +299,7 @@ DIGESTS = {
     "error-graph-missing-edges":
         "54975a6fa1224f96b81aa3a8c273b2116f6062bdf789aed17dcb644fe5830e86",
     "error-graph-repeated-label":
-        "b219e382487c1f36b35bee0b734f345b7fb2277e9d25244eeed65acb0b142f8a",
+        "56ccc0062c652a8f5ae6585d9d46cafb7200b588d35dec829e262a1ee28428d5",
     "error-graph-unknown-key":
         "ed0aa54681ed41326a916b14ac6c0b762db3a36a768d6101d395281cf8de0c0a",
     "error-malformed-json":

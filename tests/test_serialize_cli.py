@@ -60,6 +60,13 @@ def test_graph_and_alpha_parsing():
         alpha_from_data([{"sigma": ["a", "b"]}])
 
 
+def test_graph_parsing_names_a_repeated_label():
+    data = {"graph_vertices": ["a", "b", "a"], "edges": [["a", "b"]]}
+    with pytest.raises(InputError,
+                       match=r"^f\.graph_vertices: repeated label 'a'$"):
+        graph_from_data(data, "f")
+
+
 def test_alpha_parsing_rejects_a_repeated_label():
     # as sets the pairs would be valid: the repeat must not vanish silently
     data = [{"sigma": ["a", "c", "c"], "alpha": ["a", "a"]},
