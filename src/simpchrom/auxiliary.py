@@ -320,9 +320,10 @@ def auxiliary_complex(assign: AlphaAssignment) -> SimplicialComplex:
     return SimplicialComplex.from_minimal_nonfaces(ground, family, relaxed=True)
 
 
-def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
-    """The lift's assignment, carrying its auxiliary complex: T on the union
-    of the alphas, with T's minimal nonfaces.
+def _lift_assignment(T: SimplicialComplex, apexes) -> AlphaAssignment:
+    """The lift's assignment: alpha_i is T's i-th minimal nonface and
+    sigma_i = alpha_i + apexes[i].  It carries its auxiliary complex: T on
+    the union of the alphas, with T's minimal nonfaces.
 
     A vertex in no minimal nonface of T is a cone point, in every facet, so
     dropping those vertices from each facet leaves an antichain.
@@ -334,7 +335,8 @@ def _lift_assignment(sigmas, alphas, T: SimplicialComplex) -> AlphaAssignment:
     restrict = _reindex(T.vertices, ground)
     aux = SimplicialComplex(ground, map(restrict, T.facet_masks),
                             map(restrict, T.minimal_nonface_masks))
-    assign = AlphaAssignment(tuple(zip(sigmas, alphas)))
+    alphas = [frozenset(T.labels_of(m)) for m in T.minimal_nonface_masks]
+    assign = AlphaAssignment(tuple((a | {q}, a) for a, q in zip(alphas, apexes)))
     object.__setattr__(assign, "_auxiliary", aux)
     return assign
 
@@ -362,8 +364,7 @@ def lift_with_apex(T: SimplicialComplex):
               if nonfaces else [simplex | apex])
     S = SimplicialComplex(labels, facets,
                           nonface_masks=[move(m) | apex for m in nonfaces])
-    alphas = [frozenset(T.labels_of(m)) for m in nonfaces]
-    return S, _lift_assignment([a | {q} for a in alphas], alphas, T)
+    return S, _lift_assignment(T, [q] * len(nonfaces))
 
 
 def lift_disjoint(T: SimplicialComplex):
@@ -392,8 +393,7 @@ def lift_disjoint(T: SimplicialComplex):
     move = _reindex(T.vertices, labels)
     sigmas = [move(m) | 1 << labels.index(q) for m, q in zip(nonfaces, fresh)]
     S = SimplicialComplex(labels, nonface_masks=sigmas)
-    alphas = [frozenset(T.labels_of(m)) for m in nonfaces]
-    return S, _lift_assignment([a | {q} for a, q in zip(alphas, fresh)], alphas, T)
+    return S, _lift_assignment(T, fresh)
 
 
 def require_matching_sigmas(S: SimplicialComplex, assign: AlphaAssignment) -> None:

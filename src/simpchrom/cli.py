@@ -221,14 +221,13 @@ def _print_pretty(payload):
                     walk(value, indent + 1)
                 else:
                     sys.stdout.write(f"{pad}{key}: {value}\n")
-        elif isinstance(obj, list):
+        else:  # a list
             for value in obj:
                 if isinstance(value, (dict, list)):
+                    sys.stdout.write(f"{pad}-\n")
                     walk(value, indent + 1)
                 else:
                     sys.stdout.write(f"{pad}- {value}\n")
-        else:
-            sys.stdout.write(f"{pad}{obj}\n")
     walk(payload)
 
 

@@ -14,44 +14,36 @@ from .complexes import SimplicialComplex
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _antichain_complex(rng: random.Random, n: int, target: int, size_max: int,
+                       tries: int, meet: bool) -> SimplicialComplex:
+    """Complex on the first n letters whose minimal nonfaces are up to
+    ``target`` random sets of 2..size_max letters, drawn in at most ``tries``
+    draws; a draw that is comparable with a kept set, or misses one when
+    ``meet`` asks them to intersect, is dropped."""
+    labels = list(LETTERS[:n])
+    kept: list[frozenset] = []
+    while len(kept) < target and tries:
+        tries -= 1
+        size = rng.randint(2, min(size_max, n))
+        g = frozenset(rng.sample(labels, size))
+        if not any(g <= h or h <= g or (meet and not g & h) for h in kept):
+            kept.append(g)
+    return SimplicialComplex.from_minimal_nonfaces(
+        labels, [tuple(sorted(g)) for g in kept])
+
+
 def random_complex(rng: random.Random, n_min: int = 2, n_max: int = 8,
                    r_max: int = 5, size_max: int = 4) -> SimplicialComplex:
     """Random strict complex given by a random antichain of nonfaces."""
     n = rng.randint(n_min, n_max)
-    labels = list(LETTERS[:n])
-    target = rng.randint(0, r_max)
-    kept: list[frozenset] = []
-    tries = 0
-    while len(kept) < target and tries < 60:
-        tries += 1
-        size = rng.randint(2, min(size_max, n))
-        g = frozenset(rng.sample(labels, size))
-        if any(g <= h or h <= g for h in kept):
-            continue
-        kept.append(g)
-    return SimplicialComplex.from_minimal_nonfaces(
-        labels, [tuple(sorted(g)) for g in kept])
+    return _antichain_complex(rng, n, rng.randint(0, r_max), size_max, 60, False)
 
 
 def random_intersecting_complex(rng: random.Random, n_max: int = 8,
                                 r_max: int = 5) -> SimplicialComplex:
     """Random complex whose minimal nonfaces pairwise intersect."""
     n = rng.randint(3, n_max)
-    labels = list(LETTERS[:n])
-    target = rng.randint(1, r_max)
-    kept: list[frozenset] = []
-    tries = 0
-    while len(kept) < target and tries < 120:
-        tries += 1
-        size = rng.randint(2, min(4, n))
-        g = frozenset(rng.sample(labels, size))
-        if any(g <= h or h <= g or not (g & h) for h in kept):
-            continue
-        kept.append(g)
-    if not kept:
-        kept.append(frozenset(rng.sample(labels, 2)))
-    return SimplicialComplex.from_minimal_nonfaces(
-        labels, [tuple(sorted(g)) for g in kept])
+    return _antichain_complex(rng, n, rng.randint(1, r_max), 4, 120, True)
 
 
 def random_graph(rng: random.Random) -> Graph:

@@ -222,6 +222,17 @@ def test_lift_disjoint_fixtures():
         lift_disjoint(SC.from_minimal_nonfaces("123", [("1", "2"), ("2", "3")]))
 
 
+def test_both_lifts_name_the_new_vertex_past_taken_labels():
+    # q and q0 are taken, so the apex lift's fresh label is q1; the disjoint
+    # lift's first label is q1 already
+    T = SC.from_minimal_nonfaces(["q", "q0", "a"], [["a", "q"]])
+    for lift in (lift_with_apex, lift_disjoint):
+        S, assign = lift(T)
+        assert S.vertices == ("a", "q", "q0", "q1")
+        assert [sorted(s) for s in assign.sigmas] == [["a", "q", "q1"]]
+        assert [sorted(a) for a in assign.alphas] == [["a", "q"]]
+
+
 def disjoint_nonface_complex(rng):
     """Strict complex whose minimal nonfaces are pairwise disjoint blocks."""
     labels = list("abcdefghij"[:rng.randint(2, 10)])

@@ -123,6 +123,12 @@ FILES = {
                                "edges": [["a", "b"]], "x": 1},
     "graph-no-edges.json": {"graph_vertices": ["a", "b"]},
     "graph-edges-string.json": {"graph_vertices": ["a", "b"], "edges": "ab"},
+    # well-formed graph files whose edges the graph itself rejects
+    "graph-loop.json": {"graph_vertices": ["a", "b"], "edges": [["a", "a"]]},
+    "graph-unknown-vertex.json": {"graph_vertices": ["a", "b"],
+                                  "edges": [["a", "z"]]},
+    "graph-duplicate-edge.json": {"graph_vertices": ["a", "b"],
+                                  "edges": [["a", "b"], ["b", "a"]]},
     "alpha-object.json": {"sigma": ["a", "c"], "alpha": ["a"]},
     # |alpha| = |sigma| for sigma ac
     "square-alpha-too-big.json": [{"sigma": ["a", "c"], "alpha": ["a", "c"]},
@@ -165,6 +171,14 @@ RUNS = {
     "lift-disjoint-octahedron": ["lift", "octahedron.json", "--mode", "disjoint"],
     "lift-apex-mid-order": ["lift", "aqz.json", "--mode", "apex"],
     "lift-disjoint-mid-order": ["lift", "aqz.json", "--mode", "disjoint"],
+    # the text printer: lists of lists (the facets) and lists of dicts (the
+    # assignment)
+    "lift-disjoint-pretty": ["lift", "square.json", "--mode", "disjoint",
+                             "--pretty"],
+    # the octahedron boundary's h = (1, 3, 3, 1) is symmetric; ac.json's
+    # h = (1, 2, 1, -1) is not
+    "dehn-sommerville-pass": ["dehn-sommerville", "octahedron.json"],
+    "dehn-sommerville-fail": ["dehn-sommerville", "ac.json"],
     "cyclo-check": ["cyclo-check", "--primes", "3,5,7", "--j", "7"],
     # runs whose bytes come from the Smith normal form: the top Betti number
     # at c = 0 and c = -2, a zero-based FAIL, Z/2 in degree 2 (c = 2) and
@@ -243,6 +257,9 @@ RUNS = {
     "error-graph-unknown-key": ["chromatic", "graph-unknown-key.json"],
     "error-graph-missing-edges": ["chromatic", "graph-no-edges.json"],
     "error-graph-edges-string": ["chromatic", "graph-edges-string.json"],
+    "error-graph-loop": ["chromatic", "graph-loop.json"],
+    "error-graph-unknown-vertex": ["chromatic", "graph-unknown-vertex.json"],
+    "error-graph-duplicate-edge": ["chromatic", "graph-duplicate-edge.json"],
     "error-alpha-object": ["verify-theorem", "square.json", "--alpha",
                            "alpha-object.json"],
     "error-alpha-size": ["verify-theorem", "square.json", "--alpha",
@@ -276,6 +293,10 @@ DIGESTS = {
         "5e0a9860506925b61a27574443f7daff1ab7fd59c3d81b700a5079fffe09d841",
     "cyclo-poly-2310":
         "be15521b1cef11bcfbc3ef5bb3afb3d5739284793c762e3c106f37478e9a07cf",
+    "dehn-sommerville-fail":
+        "7fde2e1f032b87e7ee7d4fa66e0c18867a8bd6652e3cb24dd0e6a0283c7245d7",
+    "dehn-sommerville-pass":
+        "9f9fee735495ae1628acd12f5efcd8d86a51387c9c3540153866ed006b0d2449",
     "error-alpha-not-antichain":
         "ac4d5379c1c851542552d392624837c4a93145513c929014a0bfe77b68552da4",
     "error-alpha-object":
@@ -294,14 +315,20 @@ DIGESTS = {
         "8579352165e101ef61c62d92d074df5f8a249f1e2f081cf9e78a1c3799dda460",
     "error-generator-label":
         "bbd1c84ffc85b58c29db749f35196429f367cdeb48f672c64a0f1c00a4647b5d",
+    "error-graph-duplicate-edge":
+        "0b549403ed8e1eed2cc8de625ea02b9a3dd7eb2ce341db6122cca320b279ba1a",
     "error-graph-edges-string":
         "5f20b71718f544db84d57c740f21f4795320bb6cd2325b337a0095098d52e53c",
+    "error-graph-loop":
+        "e1d1894fdbc6e6b0aefaa8a8cb247836b6eede8916ec076789298e70eec8254e",
     "error-graph-missing-edges":
         "54975a6fa1224f96b81aa3a8c273b2116f6062bdf789aed17dcb644fe5830e86",
     "error-graph-repeated-label":
         "56ccc0062c652a8f5ae6585d9d46cafb7200b588d35dec829e262a1ee28428d5",
     "error-graph-unknown-key":
         "ed0aa54681ed41326a916b14ac6c0b762db3a36a768d6101d395281cf8de0c0a",
+    "error-graph-unknown-vertex":
+        "58ed79a89930f2d5b4e204d202b813c7df7b895bf21e3b36bee3539e0f422e4c",
     "error-malformed-json":
         "91830a54960462b699fc2cccb223aa13ff20136a5a35981e213ceae268905642",
     "error-missing-vertices":
@@ -372,6 +399,8 @@ DIGESTS = {
         "ab128c1edee87e67bbf34fc6b149b4a02955dc8b640fb3a6fdaf89e30c62e3c3",
     "lift-disjoint-octahedron":
         "c3e2ca7c6ad5ef825a386ed38fdeebe875fc3a066b78647bc65caf52e68b9f2b",
+    "lift-disjoint-pretty":
+        "e1e9cd726e9aae9228bd4a40b734bcefa49e7b90a54fff6e5e70968bc389154f",
     "logconcavity":
         "e249f0722ccbe48ed48082765360237bfda564fa1c22ea03315c1649cad0b1ff",
     "logconcavity-alpha-guard":

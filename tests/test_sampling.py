@@ -8,7 +8,10 @@ draw changes all of them.
 import hashlib
 import random
 
-from simpchrom.sampling import random_graph, random_intersecting_complex
+import pytest
+
+from simpchrom.sampling import (random_complex, random_graph,
+                                random_intersecting_complex)
 
 
 def _digest(items) -> str:
@@ -43,3 +46,36 @@ def test_the_benchmark_heavy_search_families_are_pinned():
                                                     n_max=8, r_max=8))
            for s in (1833, 1336, 1459, 1282)]
     assert _digest(got) == "3eec7561462fd915"
+
+
+# (sampler, keyword arguments, digest of 100 draws and the rng's next value
+# at each of the seeds 0, 1 and 2), for the parameter sets that the sweep, the
+# benchmark and the tests use
+STREAMS = [
+    # the sweep's and the benchmark's sweep_mix draws
+    (random_complex, {"n_max": 6, "r_max": 4}, "95d088244e6e6366"),
+    (random_complex, {"n_max": 8, "r_max": 5}, "40c13e7e1d25c0c2"),
+    # property tests
+    (random_complex, {"n_max": 7}, "9c4671dd8a486471"),
+    (random_complex, {"n_min": 2, "n_max": 4, "r_max": 3}, "1559ffb6da25627f"),
+    (random_complex, {"n_max": 7, "r_max": 6}, "9d80c213284ee9de"),
+    (random_complex, {"n_max": 8, "r_max": 8}, "58954b37f4a749ff"),
+    (random_complex, {"n_min": 12, "n_max": 12, "r_max": 12, "size_max": 5},
+     "0b56075be023e8da"),
+    # the benchmark's lattice draws: its search pool and heavy families
+    (random_intersecting_complex, {"n_max": 8, "r_max": 6}, "f3d4cb461e3b27cc"),
+    (random_intersecting_complex, {"n_max": 8, "r_max": 8}, "ec33e0550d4b9471"),
+    # property tests
+    (random_intersecting_complex, {"n_max": 7, "r_max": 4}, "4413fa4af197fcfd"),
+    (random_intersecting_complex, {"n_max": 8, "r_max": 5}, "465aac2523106729"),
+]
+
+
+@pytest.mark.parametrize("sampler, kwargs, expected", STREAMS)
+def test_sampler_streams_are_pinned(sampler, kwargs, expected):
+    draws = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        draws += [_complex_key(sampler(rng, **kwargs)) for _ in range(100)]
+        draws.append(rng.random())
+    assert _digest(draws) == expected
