@@ -31,7 +31,6 @@ from .complexes import (SimplicialComplex, _antichain_max, _bits,
 from .polynomials import IntPolynomial
 from .report import CheckReport, check_limit, check_live_states, report
 
-MODEL_LIMIT = 10 ** 8
 GRAPH_VERTEX_LIMIT = 12
 
 REMOVE_ONLY = "remove"
@@ -159,20 +158,18 @@ def finite_model_count(S: SimplicialComplex, q: int) -> int:
     Only the vertices up to the highest top vertex of a nonface are placed;
     past them every tuple of the tail counts, q^(n - last) of them.  The
     class counts come from a table built once per complex and extended only
-    as far as k <= q, so the calls for q = 0..n+1 share one walk.
+    as far as k <= q, so the calls for q = 0..n+1 share one walk.  Its
+    states are the work, not the q^n tuples; check_live_states bounds them.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    n = S.n
-    check_limit("model_size", q ** n, MODEL_LIMIT, f"tuples in {{1..{q}}}^{n}",
-                "chi_c evaluated at q is the same count")
     table = _class_counts(S.minimal_nonface_masks)
     total = 0
     ways = 1  # q (q-1) ... (q-k+1)
     for k, count in enumerate(table.upto(min(q, table.last))):
         total += count * ways
         ways *= q - k
-    return q ** (n - table.last) * total
+    return q ** (S.n - table.last) * total
 
 
 class _ClassCounts:
@@ -329,9 +326,9 @@ def _contraction(S: SimplicialComplex, sig: int, convention: str):
     if convention == MERGE_VERTEX:
         wbit = 1 << labels.index(w)
         full = (1 << len(labels)) - 1  # minimal: maximal among complements
-        nonfaces += [full ^ m for m in _antichain_max(
+        nonfaces += [full ^ m for m in _antichain_max({
             full ^ (move(m) | wbit) for m in S.minimal_nonface_masks
-            if (m & sig).bit_count() == 1)]
+            if (m & sig).bit_count() == 1})]
     return SimplicialComplex(labels, nonface_masks=nonfaces)
 
 

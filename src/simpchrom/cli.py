@@ -211,23 +211,19 @@ def cmd_sweep(args):
 
 
 def _print_pretty(payload):
+    """One line per key ("key:") or list item ("-"), a nonempty dict or list
+    indented below it; strings bare, other values and empty ones as JSON."""
     def walk(obj, indent=0):
         pad = "  " * indent
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                value = obj[key]
-                if isinstance(value, (dict, list)):
-                    sys.stdout.write(f"{pad}{key}:\n")
-                    walk(value, indent + 1)
-                else:
-                    sys.stdout.write(f"{pad}{key}: {value}\n")
-        else:  # a list
-            for value in obj:
-                if isinstance(value, (dict, list)):
-                    sys.stdout.write(f"{pad}-\n")
-                    walk(value, indent + 1)
-                else:
-                    sys.stdout.write(f"{pad}- {value}\n")
+        items = ([(f"{key}:", obj[key]) for key in sorted(obj)]
+                 if isinstance(obj, dict) else [("-", value) for value in obj])
+        for head, value in items:
+            if value and isinstance(value, (dict, list)):
+                sys.stdout.write(f"{pad}{head}\n")
+                walk(value, indent + 1)
+            else:
+                text = value if isinstance(value, str) else json.dumps(value)
+                sys.stdout.write(f"{pad}{head} {text}\n")
     walk(payload)
 
 

@@ -27,6 +27,7 @@ masks alone.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,25 +107,20 @@ def _check_vertex_count(n: int) -> None:
 def _antichain_max(masks) -> list[int]:
     """Drop every mask strictly contained in another one.
 
+    The masks must be distinct (a caller whose masks can repeat passes a
+    set) and are read once per size class, so no copy of them is made.
     Containment needs a strictly larger mask, so each size class is tested
     only against the kept masks of greater size; a family of equal-size
     faces (a pure complex) reduces in linear time.  A mask inside a kept
     mask one size up is that mask less one vertex, so those sets are looked
     up, not scanned; only the classes two or more sizes up are scanned.
     """
-    by_size: dict[int, list[int]] = {}
-    for m in set(masks):
-        by_size.setdefault(m.bit_count(), []).append(m)
     kept: dict[int, list[int]] = {}
-    for size in sorted(by_size, reverse=True):
-        keep = by_size[size]
+    for size in sorted({m.bit_count() for m in masks}, reverse=True):
         under = {k ^ 1 << v for k in kept.get(size + 1, ()) for v in _bits(k)}
-        if under:
-            keep = [m for m in keep if m not in under]
         far = [k for s, ks in kept.items() if s > size + 1 for k in ks]
-        if far:
-            keep = [m for m in keep if not any(m & k == m for k in far)]
-        kept[size] = keep
+        kept[size] = [m for m in masks if m.bit_count() == size and m not in under
+                      and not (far and any(m & k == m for k in far))]
     return [m for group in kept.values() for m in group]
 
 
@@ -224,7 +220,7 @@ class SimplicialComplex:
         """
         verts = _canonical_labels(labels)
         masks = _masks(verts, facets, "facet")
-        masks = _antichain_max(masks) if masks else [0]
+        masks = _antichain_max(set(masks)) if masks else [0]
         if not relaxed:
             covered = 0
             for m in masks:
@@ -287,9 +283,10 @@ class SimplicialComplex:
     # -- face enumeration --------------------------------------------------
 
     @cached_property
-    def face_masks(self) -> frozenset:
+    def face_masks(self) -> set[int]:
+        """Every face: the closure's own set, shared, so never mutated."""
         _check_vertex_count(self.n)
-        return frozenset(_downward_closure(self.facet_masks))
+        return _downward_closure(self.facet_masks)
 
     @cached_property
     def faces_by_size(self) -> tuple[tuple[int, ...], ...]:
@@ -354,8 +351,10 @@ def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     before it, so each T lies in exactly one branch, and if g lies wholly
     inside kept the branch holds no T and ends.  Branches i < j differ on
     vertex i, dropped in one and kept in the other, so each set is met once
-    and no visited set is needed.  Every maximal T ends a branch as a leaf;
-    the leaves that are not maximal are dropped by ``_antichain_max``.
+    and no visited set is needed: the leaves are distinct.  Every maximal T
+    is a leaf; ``_antichain_max`` drops the leaves that are not maximal.
+    Most leaves are not (103,682 for the 1,130 facets of the 25-cycle), so
+    up to 64 vertices they are held as 8-byte words, not 40-byte listed ints.
 
     The sort is stable, so an equal-size family keeps its given order: at
     each set the first generator is the one a walk that branches on every
@@ -369,7 +368,7 @@ def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     from the start would find it, with fewer containment tests.
     """
     gens = sorted(gen_masks, key=int.bit_count)
-    found = []
+    found = array("Q") if n <= 64 else []
     stack = [((1 << n) - 1, 0, 0)]
     while stack:
         m, kept, start = stack.pop()

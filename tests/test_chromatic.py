@@ -156,10 +156,32 @@ def test_finite_model_count_under_a_relabeling():
 
 
 def test_finite_model_count_at_large_q_within_the_guard():
-    # q^n just under the 10^8 guard; chi_c is q^2 (q-1)^2 and q (q-1)
+    # q^n just under 10^8; chi_c is q^2 (q-1)^2 and q (q-1)
     assert finite_model_count(square_complex(), 100) == 98_010_000
     edge = SC.from_minimal_nonfaces("ab", [("a", "b")])
     assert finite_model_count(edge, 10 ** 4) == 99_990_000
+
+
+def test_finite_model_count_past_10_to_the_8_tuples():
+    # the class table's states are the work, not the q^n tuples: one edge
+    # on 26 vertices keeps one state per stratum and vertex step
+    labels = [f"v{i:02d}" for i in range(26)]
+    edge = SC.from_minimal_nonfaces(labels, [("v00", "v25")])
+    chi = chromatic_polynomial(edge)
+    for q in (3, 10):
+        assert finite_model_count(edge, q) == q ** 26 - q ** 25 == chi.evaluate(q)
+    assert finite_model_count(square_complex(), 101) == 102_010_000  # 101^2 100^2
+
+
+def test_one_nonface_on_20_vertices_is_refused_on_live_states():
+    # every vertex stays live until the nonface's top, so at q = 2 the table
+    # holds the 2^19 - 1 placements of the first 19 vertices into two classes
+    labels = [f"v{i:02d}" for i in range(20)]
+    with pytest.raises(GuardError) as err:
+        finite_model_count(SC.from_minimal_nonfaces(labels, [labels]), 2)
+    assert err.value.limit == "live_states"
+    assert str(err.value) == ("524287 live states exceed the 262144 limit; "
+                              "chi_c evaluated at q is the same count")
 
 
 def test_model_counts_in_any_q_order_across_evictions():
@@ -371,6 +393,15 @@ def test_tidied_contraction_matches_the_label_reference():
     assert merged.vertices == ("v", "w", "w0", "z")
 
 
+def test_merged_images_that_coincide_give_one_nonface():
+    # abx and aby both become abw when x and y merge into w
+    s = SC.from_minimal_nonfaces("abxy", [("x", "y"), ("a", "b", "x"),
+                                          ("a", "b", "y")])
+    merged = tidied_contraction(s, ("x", "y"))
+    assert merged.vertices == ("a", "b", "w")
+    assert merged.minimal_nonfaces().generators == (("a", "b", "w"),)
+
+
 def test_tidied_contraction_requires_minimal_nonface():
     with pytest.raises(ValueError, match="not a minimal nonface"):
         tidied_contraction(square_complex(), ("a", "b"))
@@ -427,9 +458,9 @@ def test_guards():
     with pytest.raises(GuardError) as err:
         graph_chromatic(Graph(tuple(labels), ()))
     assert err.value.limit == "graph_vertices"
-    with pytest.raises(GuardError) as err:
-        finite_model_count(SC.from_minimal_nonfaces("abcdefghij", []), 10 ** 8)
-    assert err.value.limit == "model_size"
+    # no guard bounds the q^n tuples: 10 free vertices at q = 10^8
+    free = SC.from_minimal_nonfaces("abcdefghij", [])
+    assert finite_model_count(free, 10 ** 8) == 10 ** 80
 
 
 def wide_nonfaces(seed):

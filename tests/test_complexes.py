@@ -31,6 +31,13 @@ def test_from_facets_reduces_to_antichain():
     assert s.facets == (("a", "b"), ("b", "c"))
 
 
+def test_from_facets_drops_repeated_facets():
+    s = SC.from_facets("abc", [("a", "b"), ("a", "b"), ("b", "a"), ("a",),
+                               ("b", "c")])
+    assert s.facets == (("a", "b"), ("b", "c"))
+    assert s.facet_masks == (0b011, 0b110)
+
+
 def test_from_facets_fixtures():
     tri = SC.from_facets("123", [("1", "2"), ("1", "3"), ("2", "3")])
     assert tri.dimension == 1
@@ -303,6 +310,15 @@ def test_resuming_each_scan_cuts_the_generator_tests_on_u10_5():
     CountedMask.tests = 0
     full_scan_leaves(10, gens)
     assert resumed == 21459 < CountedMask.tests
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+def test_dualizing_one_edge_on_either_side_of_64_vertices(n):
+    # the walk holds its leaves as 64-bit words up to 64 vertices and as
+    # ints past them; the edge {0, n-1} leaves the two sets missing one end
+    full = (1 << n) - 1
+    assert sorted(complexes._maximal_generator_free(n, [1 | 1 << n - 1])) == \
+        [full ^ 1 << n - 1, full ^ 1]
 
 
 def test_reducing_a_pure_complex_plus_faces_one_vertex_short():

@@ -175,6 +175,14 @@ RUNS = {
     # assignment)
     "lift-disjoint-pretty": ["lift", "square.json", "--mode", "disjoint",
                              "--pretty"],
+    # JSON scalars in the text form: null, true and false; and an empty list
+    # (the simplex has no nonface, so no assignment)
+    "dehn-sommerville-pretty": ["dehn-sommerville", "octahedron.json",
+                                "--pretty"],
+    "verify-theorem-search-pretty": ["verify-theorem", "square.json",
+                                     "--search", "--pretty"],
+    "lift-apex-simplex-pretty": ["lift", "simplex.json", "--mode", "apex",
+                                 "--pretty"],
     # the octahedron boundary's h = (1, 3, 3, 1) is symmetric; ac.json's
     # h = (1, 2, 1, -1) is not
     "dehn-sommerville-pass": ["dehn-sommerville", "octahedron.json"],
@@ -228,6 +236,8 @@ RUNS = {
     "oracle-count-free-tail": ["oracle-count", "lonely.json", "--q", "3"],
     "oracle-count": ["oracle-count", "ac.json", "--q", "4"],
     "oracle-count-q0": ["oracle-count", "tri.json", "--q", "0"],
+    # 101^4 tuples: the count, 101^2 100^2, comes from the class table, whose
+    # states are bounded, and no bound on the tuples applies
     "guard-model-size": ["oracle-count", "square.json", "--q", "101"],
     "error-negative-q": ["oracle-count", "square.json", "--q", "-1"],
     "error-negative-expand": ["hilbert", "square.json", "--expand", "-1"],
@@ -297,6 +307,8 @@ DIGESTS = {
         "7fde2e1f032b87e7ee7d4fa66e0c18867a8bd6652e3cb24dd0e6a0283c7245d7",
     "dehn-sommerville-pass":
         "9f9fee735495ae1628acd12f5efcd8d86a51387c9c3540153866ed006b0d2449",
+    "dehn-sommerville-pretty":
+        "67992928bb0b4a6614e3cc2def9b2abcd8d45e9e9495e9df82df09440b3c0a6e",
     "error-alpha-not-antichain":
         "ac4d5379c1c851542552d392624837c4a93145513c929014a0bfe77b68552da4",
     "error-alpha-object":
@@ -360,7 +372,7 @@ DIGESTS = {
     "guard-matrix-size":
         "cd4aba1edf7b0545d192aa6db261fd2257e5fa9afce2b02818ff5352efb14f71",
     "guard-model-size":
-        "e73a906c2a28c905154db68fe91d6d66bead6b19bfb03194628866c986fa9d6a",
+        "17ff9930885de000a8729ca4d1a27c4a840ab45c6d8bb5ddda74304250d02b6a",
     "guard-monomial-degree":
         "06c7ea1e7abdf2e9b1a61f115d959d73e8bc90c0b825786d1bac81dfb29145fa",
     "guard-uniform-vertices":
@@ -393,6 +405,8 @@ DIGESTS = {
         "a8bd641ecea024512e28925c220f66467c822815782f431a522d574d935b6452",
     "lift-apex-mid-order":
         "19786892d6a57591dbe3ddccbd274393720033c2d870109a51f7299090aee1ae",
+    "lift-apex-simplex-pretty":
+        "210b0c947afa7b39f47fe9634f3aa1f9f9bf511667a216e45e19f69f3d0c7b06",
     "lift-disjoint":
         "489609cfd255b7debc88bc64a2ce5b38557435d4076691fbb67c7fa45eb9e419",
     "lift-disjoint-mid-order":
@@ -441,6 +455,8 @@ DIGESTS = {
         "9d2ae2bc70df311114e5615d4b36b229e1a9faf8bc58f8a9e3745d63dd7777e9",
     "verify-theorem-search":
         "b6838093c4ab612ad513f82685abeb3322a284ade8816944b3e570792a70e463",
+    "verify-theorem-search-pretty":
+        "cd3722d7846ea28b7bb2a658b416dfd2b68ad25d6f57dc6b8c8cd806b700943b",
 }
 
 
