@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from functools import partial
 
@@ -30,7 +31,7 @@ from .hilbert import (h_vector, numerator_by_inclusion_exclusion,
                       series_coefficients, standard_monomial_count)
 from .homology import reduced_homology
 from .polynomials import format_poly
-from .report import GuardError
+from .report import GuardError, check_limit
 from .serialize import (InputError, _label_set, alpha_to_data, complex_to_data,
                         load_alpha, load_complex, load_complex_or_graph,
                         poly_to_data)
@@ -81,8 +82,14 @@ def cmd_chromatic(args):
 
 
 def cmd_oracle_count(args):
-    S = load_complex(args.complex)
-    return {"q": args.q, "count": finite_model_count(S, args.q)}
+    count = finite_model_count(load_complex(args.complex), args.q)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and count >= 10 ** limit:  # too long for Python to write out
+        digits = int(math.log10(count)) + 1  # within one; corrected below
+        digits += (count >= 10 ** digits) - (count < 10 ** (digits - 1))
+        check_limit("count_digits", digits, limit, "digits in the count",
+                    "chromatic gives chi_c, whose value at q is the count")
+    return {"q": args.q, "count": count}
 
 
 def cmd_verify_ac(args):

@@ -107,8 +107,8 @@ def _check_vertex_count(n: int) -> None:
 def _antichain_max(masks) -> list[int]:
     """Drop every mask strictly contained in another one.
 
-    The masks must be distinct (a caller whose masks can repeat passes a
-    set) and are read once per size class, so no copy of them is made.
+    The masks must be distinct (callers whose masks can repeat pass a set);
+    no copy is made, so each size class rescans all of them.
     Containment needs a strictly larger mask, so each size class is tested
     only against the kept masks of greater size; a family of equal-size
     faces (a pure complex) reduces in linear time.  A mask inside a kept
@@ -354,7 +354,7 @@ def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     and no visited set is needed: the leaves are distinct.  Every maximal T
     is a leaf; ``_antichain_max`` drops the leaves that are not maximal.
     Most leaves are not (103,682 for the 1,130 facets of the 25-cycle), so
-    up to 64 vertices they are held as 8-byte words, not 40-byte listed ints.
+    they are 8-byte words, not ints; the vertex guard keeps n within one.
 
     The sort is stable, so an equal-size family keeps its given order: at
     each set the first generator is the one a walk that branches on every
@@ -368,7 +368,7 @@ def _maximal_generator_free(n: int, gen_masks) -> list[int]:
     from the start would find it, with fewer containment tests.
     """
     gens = sorted(gen_masks, key=int.bit_count)
-    found = array("Q") if n <= 64 else []
+    found = array("Q")
     stack = [((1 << n) - 1, 0, 0)]
     while stack:
         m, kept, start = stack.pop()

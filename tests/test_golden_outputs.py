@@ -239,6 +239,12 @@ RUNS = {
     # 101^4 tuples: the count, 101^2 100^2, comes from the class table, whose
     # states are bounded, and no bound on the tuples applies
     "guard-model-size": ["oracle-count", "square.json", "--q", "101"],
+    # q = 10^1100: the count, q^2 (q-1)^2, has 4400 digits, more than
+    # Python writes out by default, so it is refused, in either form
+    "guard-count-digits": ["oracle-count", "square.json", "--q",
+                           "1" + "0" * 1100],
+    "guard-count-digits-pretty": ["oracle-count", "square.json", "--q",
+                                  "1" + "0" * 1100, "--pretty"],
     "error-negative-q": ["oracle-count", "square.json", "--q", "-1"],
     "error-negative-expand": ["hilbert", "square.json", "--expand", "-1"],
     # constant-component witnesses: the first disjoint pair when a = 1, the
@@ -367,6 +373,10 @@ DIGESTS = {
         "715b22e0acd31e1aa68a7ee40a2e3d081f7d74ae06456ed1a6d58bf085dfc9f9",
     "error-repeated-vertex":
         "2f05f69ea4f9d77105d59ca84de6bbe1cc97c1567947138f18dcaaac5d2d2318",
+    "guard-count-digits":
+        "2753bd28fd71b27d30060f0230752b473241910b694ec39a11133775d335bb8c",
+    "guard-count-digits-pretty":
+        "2753bd28fd71b27d30060f0230752b473241910b694ec39a11133775d335bb8c",
     "guard-cyclotomic-index":
         "2b17b8396364bdaa142031570ff4946e4232f83bb0fd8d68013faa93062cf760",
     "guard-matrix-size":

@@ -221,6 +221,23 @@ def test_cli_oracle_count(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == 24
 
 
+def test_cli_oracle_count_refuses_a_count_too_long_to_write(tmp_path, capsys,
+                                                           monkeypatch):
+    # two free vertices count q^2; a limit of 640 digits on Python's decimal
+    # ints admits 10^640 - 1 and not 10^640, which has 641 digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640,
+                        raising=False)
+    pair = write(tmp_path, "pair.json", {"vertices": ["a", "b"],
+                                         "minimal_nonfaces": []})
+    q = 10 ** 320 - 1
+    code, out = run_cli(capsys, "oracle-count", pair, "--q", str(q))
+    assert code == 0 and json.loads(out)["count"] == q ** 2
+    assert main(["oracle-count", pair, "--q", str(q + 1)]) == 3
+    assert capsys.readouterr().err == (
+        "guard rejected (count_digits): 641 digits in the count exceed the "
+        "640 limit; chromatic gives chi_c, whose value at q is the count\n")
+
+
 def test_cli_verify_cc_and_window(tmp_path, capsys):
     path = write(tmp_path, "path.json",
                  {"vertices": ["1", "2", "3"],
