@@ -49,12 +49,12 @@ class Graph:
         repeated = sorted({a for a, b in zip(labs, labs[1:]) if a == b})
         if repeated:
             raise ValueError(f"duplicate vertex labels: {repeated}")
-        seen = set()
+        known, seen = set(labs), set()
         edges = []
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a!r}")
-            if a not in labs or b not in labs:
+            if a not in known or b not in known:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
             e = (a, b) if a < b else (b, a)
             if e in seen:

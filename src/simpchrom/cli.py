@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from functools import partial
 
@@ -85,8 +84,9 @@ def cmd_oracle_count(args):
     count = finite_model_count(load_complex(args.complex), args.q)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if limit and count >= 10 ** limit:  # too long for Python to write out
-        digits = int(math.log10(count)) + 1  # within one; corrected below
-        digits += (count >= 10 ** digits) - (count < 10 ** (digits - 1))
+        digits = count.bit_length() * 30102 // 100000  # 0.30102 < log10(2)
+        while count >= 10 ** digits:
+            digits += 1
         check_limit("count_digits", digits, limit, "digits in the count",
                     "chromatic gives chi_c, whose value at q is the count")
     return {"q": args.q, "count": count}

@@ -19,10 +19,10 @@ A nonface family is checked once, where label sets enter the library: a
 ``NonfaceFamily`` a caller builds, ``from_minimal_nonfaces`` given label
 lists, and ``auxiliary.auxiliary_complex`` on the alphas of an assignment that
 came in.  A family derived from the masks of a complex
-(``minimal_nonfaces()``) is an antichain by construction and is wrapped by
-``_antichain_family`` without the check; both lifts and the auxiliary
-complex a lift hands over are built by the unchecked constructor from
-masks alone.
+(``minimal_nonfaces()``) is an antichain by construction, and its masks are
+already in label order, so it is wrapped without the check or a sort; both
+lifts and the auxiliary complex a lift hands over are built by the
+unchecked constructor from masks alone.
 """
 
 from __future__ import annotations
@@ -188,14 +188,6 @@ class NonfaceFamily:
         return len(self.generators)
 
 
-def _antichain_family(generators) -> NonfaceFamily:
-    """Sorted label tuples that form an antichain by construction, wrapped
-    and put in canonical order without the input check."""
-    family = object.__new__(NonfaceFamily)
-    object.__setattr__(family, "generators", tuple(sorted(generators)))
-    return family
-
-
 class SimplicialComplex:
     """Immutable vertex-labeled complex; all equality is on canonical form.
 
@@ -318,14 +310,16 @@ class SimplicialComplex:
                            and all(g ^ 1 << u in faces for u in _bits(g)))
 
     def minimal_nonfaces(self) -> NonfaceFamily:
-        return _antichain_family(self.labels_of(m)
-                                 for m in self.minimal_nonface_masks)
+        family = object.__new__(NonfaceFamily)  # an antichain, in label order
+        object.__setattr__(family, "generators",
+                           tuple(map(self.labels_of, self.minimal_nonface_masks)))
+        return family
 
 
 def _canonical_labels(labels) -> tuple[str, ...]:
     labs = list(labels)
     if len(set(labs)) != len(labs):
-        dup = sorted({x for x in labs if labs.count(x) > 1})
+        dup = sorted(x for x, k in Counter(labs).items() if k > 1)
         raise ValueError(f"duplicate labels: {dup}")
     for lab in labs:
         if not isinstance(lab, str):

@@ -21,7 +21,7 @@ from math import prod
 
 from .complexes import SimplicialComplex
 from .hilbert import h_vector
-from .homology import boundary_matrix, reduced_homology, smith_normal_form
+from .homology import reduced_homology
 from .polynomials import IntPolynomial
 from .report import CheckReport, check_limit, report
 
@@ -230,10 +230,11 @@ def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
     """The constant-term dichotomy, operationalized through the top Betti number.
 
     Builds T = single-facet subcomplex, whose apex lift has n_T + 1
-    vertices, and tests that the top Betti number of T, #top faces - rank
-    of the top boundary map, is 1 when c_j = 0 and 0 otherwise.  The top
-    h-entry cannot decide this: h_top = (-1)^(d-1) * (chi - 1), and at
-    c_j = 0 the Z in the two top degrees cancel in the Euler characteristic.
+    vertices, and tests that the top Betti number of T, read off
+    ``reduced_homology`` in degree d - 1 as the homology check reads it, is
+    1 when c_j = 0 and 0 otherwise.  The top h-entry cannot decide this:
+    h_top = (-1)^(d-1) * (chi - 1), and at c_j = 0 the Z in the two top
+    degrees cancel in the Euler characteristic.
     h_top and the h-vector are recorded.  Neither that identity nor the
     literal constant term of the lift's chi_c is: the identity holds for
     every complex, and the t^0 coefficient of reciprocal(K_T, n_T + 1) is 0
@@ -241,8 +242,7 @@ def check_constant_term_detection(spec: CyclotomicSpec, j: int) -> CheckReport:
     """
     c_j, T = _residue_case(spec, j)
     h = h_vector(T)
-    top_rank = len(smith_normal_form(boundary_matrix(T, T.dimension)))
-    top_betti = T.f_vector[-1] - top_rank
+    top_betti = reduced_homology(T)[spec.d - 1][0]
     sign = (-1) ** spec.d
     expected_top_betti = 1 if c_j == 0 else 0
     ok = top_betti == expected_top_betti

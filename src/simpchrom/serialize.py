@@ -45,9 +45,11 @@ def _string_list(value, where):
 
 def _label_set(value, where) -> frozenset:
     labels = _string_list(value, where)
-    for i, lab in enumerate(labels):
-        if lab in labels[:i]:
+    seen = set()
+    for lab in labels:
+        if lab in seen:
             raise InputError(where, f"repeated label {lab!r}")
+        seen.add(lab)
     return frozenset(labels)
 
 

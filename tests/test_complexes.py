@@ -6,7 +6,9 @@ from itertools import combinations
 import pytest
 
 from simpchrom import complexes
-from simpchrom.auxiliary import auxiliary_complex, search_alpha
+from simpchrom.auxiliary import (auxiliary_complex, lift_disjoint,
+                                 lift_with_apex, search_alpha)
+from simpchrom.chromatic import MERGE_VERTEX, tidied_contraction
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
@@ -126,6 +128,37 @@ def test_derived_nonface_family_equals_the_checked_one():
     for s in complexes:
         family = s.minimal_nonfaces()
         assert family == NonfaceFamily(family.generators)
+
+
+def _derived_families(rng):
+    """Complexes whose nonface masks were derived or moved onto new labels:
+    random ones, their facet round trips, lifts and merge contractions."""
+    # twelve disjoint pairs: the fresh labels q10..q12 sort between q1 and q2
+    pairs = [(chr(97 + i), chr(98 + i)) for i in range(0, 24, 2)]
+    yield lift_disjoint(SC.from_minimal_nonfaces(
+        [v for p in pairs for v in p], pairs))[0]
+    for _ in range(40):
+        s = random_complex(rng, n_max=8)
+        yield s
+        yield SC.from_facets(s.vertices, s.facets)
+        yield lift_with_apex(s)[0]
+        try:
+            yield lift_disjoint(s)[0]
+        except ValueError:  # nonfaces that meet have no disjoint lift
+            pass
+        for m in s.minimal_nonface_masks:
+            yield tidied_contraction(s, s.labels_of(m), MERGE_VERTEX)
+
+
+def test_derived_nonface_family_is_sorted_in_mask_order():
+    # minimal_nonfaces() sorts nothing: the mask order is the label order
+    seen = 0
+    for s in _derived_families(random.Random(83)):
+        gens = s.minimal_nonfaces().generators
+        assert gens == tuple(sorted(gens))
+        assert gens == tuple(s.labels_of(m) for m in s.minimal_nonface_masks)
+        seen += len(gens) > 1
+    assert seen > 50
 
 
 def test_f_vector_fixtures():

@@ -14,7 +14,8 @@ from simpchrom.cyclotomic import (CyclotomicSpec, ONE_BASED, ZERO_BASED,
                                   cyclotomic_polynomial, euler_phi,
                                   facet_of_residue, included_residues)
 from simpchrom.hilbert import h_vector
-from simpchrom.homology import reduced_homology
+from simpchrom.homology import (boundary_matrix, reduced_homology,
+                                smith_normal_form)
 from simpchrom.polynomials import IntPolynomial
 from simpchrom.report import GuardError
 
@@ -349,6 +350,21 @@ def test_constant_term_detection_fires_exactly_on_zero_coefficients():
         fails = [j for j in range(spec.phi + 1)
                  if not check_constant_term_detection(zero, j).passed]
         assert fails == [j for j in range(1, spec.phi + 1) if phi[j] != 0]
+
+
+@pytest.mark.parametrize("primes", [(3, 5, 7), (2, 3, 5, 7)])
+@pytest.mark.parametrize("labeling", [ZERO_BASED, ONE_BASED])
+def test_detector_top_betti_equals_top_faces_less_the_top_boundary_rank(
+        primes, labeling):
+    # the detector reads reduced_homology; the oracle is the top Betti number
+    # from the top boundary map alone: top faces less its rank
+    spec = CyclotomicSpec(primes, labeling)
+    for j in range(spec.phi + 1):
+        t = build_residue_subcomplex(spec, {j})
+        top_rank = len(smith_normal_form(boundary_matrix(t, spec.d - 1)))
+        oracle = t.f_vector[-1] - top_rank
+        rep = check_constant_term_detection(spec, j)
+        assert rep.details["top_betti"] == oracle, (primes, labeling, j)
 
 
 def test_a_spec_computes_its_cyclotomic_polynomial_once(monkeypatch):

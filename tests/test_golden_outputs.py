@@ -51,6 +51,17 @@ FILES = {
                            {"sigma": ["2", "3", "4", "q"],
                             "alpha": ["2", "3", "4"]},
                            {"sigma": ["4", "5", "q"], "alpha": ["4", "5"]}],
+    # the disjoint lift of square.json and its assignment, as `lift --mode
+    # disjoint` prints them: the fresh vertices differ, so the assignment is
+    # not apex-shaped, and the state pass proves the target invariant
+    "square-disjoint.json": {"vertices": ["a", "b", "c", "d", "q1", "q2"],
+                             "facets": [["a", "b", "c", "d"], ["a", "b", "c", "q2"],
+                                        ["a", "b", "d", "q1"], ["a", "b", "q1", "q2"],
+                                        ["a", "c", "d", "q2"], ["a", "d", "q1", "q2"],
+                                        ["b", "c", "d", "q1"], ["b", "c", "q1", "q2"],
+                                        ["c", "d", "q1", "q2"]]},
+    "square-disjoint-alpha.json": [{"sigma": ["a", "c", "q1"], "alpha": ["a", "c"]},
+                                   {"sigma": ["b", "d", "q2"], "alpha": ["b", "d"]}],
     # sigma ac given twice: as a set the sigmas are the square's minimal
     # nonfaces, as a list they are not
     "square-repeated-sigma.json": [{"sigma": ["a", "c"], "alpha": ["a"]},
@@ -203,6 +214,8 @@ RUNS = {
                                      "--j", "3"],
     "logconcavity-identity": ["logconcavity", "ac-apex.json",
                               "--alpha", "ac-apex-alpha.json"],
+    "logconcavity-state-pass": ["logconcavity", "square-disjoint.json",
+                                "--alpha", "square-disjoint-alpha.json"],
     "error-repeated-sigma-verify": ["verify-theorem", "square.json", "--alpha",
                                     "square-repeated-sigma.json"],
     "error-repeated-sigma-logconcavity": ["logconcavity", "square.json",
@@ -431,6 +444,8 @@ DIGESTS = {
         "bdd293fa1e0cb6971a7851f3d2e35e78642beac9a9f40b74a1d0173dc304d878",
     "logconcavity-identity":
         "dd57981f886db75d9db2dca46620192102e6bc7ae09ff35ee5f54d5d465eabe8",
+    "logconcavity-state-pass":
+        "0daabdc5e7365b41cb77790a30d33b74e65f20647a120f172078b92e59b9873d",
     "logconcavity-nonface-guard":
         "fb73d05e0c44fe739015267830522954465000317a193db8644d45fac8fb56fd",
     "oracle-count":
