@@ -9,7 +9,10 @@ moves masks onto another sorted label set; other modules only read and
 combine masks.  A complex keeps the description it was given, facets or
 minimal nonfaces (the squarefree-ideal generators), and derives the other
 exactly on first use, where the vertex guard sits; so work that reads only
-the nonfaces never dualizes.
+the nonfaces never dualizes.  The face closure takes one of two routes
+with the same result: a dense complex, whose 2^n sets number at most 8 times
+its facets' subsets, is closed as one 2^n-bit map in n big-integer passes; a
+sparser one by a stack walk over its faces.
 
 A complex is "strict" when every vertex is a face.  ``relaxed=True`` lets
 the checked constructors admit formal vertices that are nonfaces, as an
@@ -27,6 +30,7 @@ unchecked constructor from masks alone.
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -130,8 +134,41 @@ def _grown(masks, n: int):
     return (m | 1 << v for m in masks for v in range(m.bit_length(), n))
 
 
-def _downward_closure(facet_masks) -> set[int]:
-    """Every subset of a facet; a face enters the stack once, when first met."""
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_NONZERO_RUN = re.compile(rb"[^\x00]{1,512}")  # a slice: 4,096 faces at most
+
+
+def _face_map(facet_masks, n: int) -> int:
+    """The closure as a 2^n-bit map, bit m set when m is a face: for each
+    vertex v, the sets that hold v pass their bit down to the set less v (the
+    OR form of the subset zeta transform), one big-integer pass per vertex.
+    Its ``bit_count()`` is the face count."""
+    size, holds = (1 << n) + 7 >> 3, (1 << (1 << n)) - 1
+    buf = bytearray(size)  # an int's |= would copy all 2^n bits per facet
+    for m in facet_masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    bitmap = int.from_bytes(buf, "little")
+    for v in reversed(range(n)):
+        holds ^= holds >> (1 << v)  # the sets holding v, halved from v + 1's
+        bitmap |= (bitmap & holds) >> (1 << v)
+    return bitmap
+
+
+def _downward_closure(facet_masks, n: int) -> set[int]:
+    """Every subset of a facet, in a new set, by one of two routes.
+
+    A dense complex, 2^n <= 8 * sum of 2^|f| over the facets f, is closed as
+    one ``_face_map`` and read off its nonzero bytes a bounded slice at a time,
+    so no list of every face stands beside the set.  The map costs O(n 2^n)
+    whatever the face count, so a sparser complex takes a stack walk, where a
+    face enters the stack once, when first met."""
+    if 1 << n <= 8 * sum(1 << m.bit_count() for m in facet_masks):
+        faces = set()
+        data = _face_map(facet_masks, n).to_bytes((1 << n) + 7 >> 3, "little")
+        for run in _NONZERO_RUN.finditer(data):
+            at = range(8 * run.start(), 8 * run.end(), 8)  # the set at bit 0 of each byte
+            faces.update([k + j for k, byte in zip(at, run[0]) for j in _BYTE_BITS[byte]])
+        return faces
     faces = set(facet_masks)
     stack = list(faces)
     while stack:
@@ -278,7 +315,7 @@ class SimplicialComplex:
     def face_masks(self) -> set[int]:
         """Every face: the closure's own set, shared, so never mutated."""
         _check_vertex_count(self.n)
-        return _downward_closure(self.facet_masks)
+        return _downward_closure(self.facet_masks, self.n)
 
     @cached_property
     def faces_by_size(self) -> tuple[tuple[int, ...], ...]:

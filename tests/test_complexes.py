@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from simpchrom import complexes
+from simpchrom import CyclotomicSpec, build_residue_subcomplex, complexes
+from simpchrom.analysis import uniform_matroid_complex
 from simpchrom.auxiliary import (auxiliary_complex, lift_disjoint,
                                  lift_with_apex, search_alpha)
 from simpchrom.chromatic import MERGE_VERTEX, tidied_contraction
@@ -210,6 +211,71 @@ def test_face_table_partitions_the_faces_by_size():
         # by size and sorted
         assert [[s.labels_of(m) for m in g] for g in table] == face_groups(s)
     assert SC.from_facets([], []).faces_by_size == ((0,),)
+
+
+@pytest.fixture
+def face_maps(monkeypatch):
+    """The vertex count of every closure that took the 2^n-bit map."""
+    calls = []
+    work = complexes._face_map
+
+    def counted(facet_masks, n):
+        calls.append(n)
+        return work(facet_masks, n)
+
+    monkeypatch.setattr(complexes, "_face_map", counted)
+    return calls
+
+
+def test_both_closure_routes_equal_the_subset_scan(face_maps):
+    # the density rule counts repeated facets, so 2^n copies of the facets
+    # force the map; at n = 64 no map fits, so the same facets walk
+    for s in _given_by_facets(31):
+        scan = {sum(1 << s.vertices.index(v) for v in sub)
+                for k in range(s.n + 1) for sub in combinations(s.vertices, k)
+                if is_face(s, sub)}
+        face_maps.clear()
+        assert complexes._downward_closure(s.facet_masks * (1 << s.n), s.n) == scan
+        assert complexes._downward_closure(s.facet_masks, 64) == scan
+        assert face_maps == [s.n]
+        assert s.face_masks == scan
+        assert complexes._face_map(s.facet_masks, s.n).bit_count() == len(scan)
+
+
+def _direct_family(seed):
+    """17 incomparable random nonfaces of 2-4 of 14 vertices, the shape of
+    the lattice benchmark's direct chi_c inputs."""
+    rng = random.Random(seed)
+    labels, kept = [chr(ord("a") + i) for i in range(14)], []
+    while len(kept) < 17:
+        g = frozenset(rng.sample(labels, rng.randint(2, 4)))
+        if not any(g <= h or h <= g for h in kept):
+            kept.append(g)
+    return SC.from_minimal_nonfaces(labels, kept)
+
+
+def _pure_20(seed):
+    rng = random.Random(seed)
+    labels = [f"v{i:02d}" for i in range(20)]
+    return SC.from_facets(labels, [rng.sample(labels, 8) for _ in range(40)])
+
+
+@pytest.mark.parametrize("make, dense", [
+    (lambda: uniform_matroid_complex(14, 7), True),    # 2^n / sum 2^|f|: 0.04
+    (lambda: _direct_family(3), True),                 # 1.7
+    (lambda: SC.from_facets("abc", [], relaxed=True), True),   # 8, the bound
+    (lambda: SC.from_facets("abcd", [], relaxed=True), False),  # 16
+    (lambda: build_residue_subcomplex(CyclotomicSpec((3, 5, 7)), {7}), False),  # 72
+    (lambda: _pure_20(5), False),                      # 102
+], ids=["U(14,7)", "lattice-direct", "empty-3", "empty-4", "residue-3-5-7",
+        "pure-20"])
+def test_the_closure_route_follows_the_density_rule(face_maps, make, dense):
+    s = make()
+    s.facet_masks  # a complex given by its nonfaces dualizes here
+    assert face_maps == []
+    faces = s.face_masks
+    assert face_maps == ([s.n] if dense else [])
+    assert faces == complexes._downward_closure(s.facet_masks, 64)  # the walk
 
 
 def test_derived_minimal_nonfaces_equal_a_subset_scan():
