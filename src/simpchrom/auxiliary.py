@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import (NonfaceFamily, SimplicialComplex, _later_unions, _masks,
-                        _reindex, fresh_label)
+from .complexes import (NonfaceFamily, SimplicialComplex, _bits, _later_unions,
+                        _masks, _reindex, fresh_label)
 from .chromatic import chromatic_polynomial
 from .hilbert import h_vector, numerator_by_inclusion_exclusion
 from .polynomials import IntPolynomial, brenti_criterion, reciprocal
@@ -94,39 +94,37 @@ def _walk(sigmas, alphas, visit, what, start=(0, 0, 0, ()), spent=0,
     After a witness only smaller sets are visited.  Each visit spends one
     unit, or with pair_tests one per pair outside I; spent carries the
     units of the check's earlier walks, and past SEARCH_NODE_LIMIT units
-    GuardError search_nodes counts them as ``what``.
+    GuardError search_nodes counts them as ``what``.  The walk keeps its own
+    stack, so no depth of I reaches Python's recursion limit.
     """
     r = len(sigmas)
     cap = start[0].bit_count() + r + 1
     found = None
-
-    def rec(lo, idx, sig, alf, comps):
-        nonlocal cap, found, spent
+    stack = [(0, *start)]  # (j, state): visit state + pair j, then (j + 1, state)
+    while stack:
+        j, idx, sig, alf, comps = stack.pop()
         size = idx.bit_count() + 1
-        units = r - size if pair_tests else 1
-        for j in range(lo, r):
-            if size >= cap:
-                return
-            spent += units
-            if spent > SEARCH_NODE_LIMIT:
-                check_limit("search_nodes", spent, SEARCH_NODE_LIMIT, what)
-            g = sigmas[j]
-            merged = g
-            rest = []
-            for cm in comps:
-                if cm & g:
-                    merged |= cm
-                else:
-                    rest.append(cm)
-            rest.append(merged)
-            nidx, nsig, nalf = idx | 1 << j, sig | g, alf | alphas[j]
-            witness = visit(nidx, nsig, nalf, rest)
-            if witness:
-                found, cap = witness, size
-            elif size + 1 < cap:
-                rec(j + 1, nidx, nsig, nalf, rest)
-
-    rec(0, *start)
+        if j == r or size >= cap:
+            continue
+        stack.append((j + 1, idx, sig, alf, comps))  # popped after the child's walk
+        spent += r - size if pair_tests else 1
+        if spent > SEARCH_NODE_LIMIT:
+            check_limit("search_nodes", spent, SEARCH_NODE_LIMIT, what)
+        g = sigmas[j]
+        merged = g
+        rest = []
+        for cm in comps:
+            if cm & g:
+                merged |= cm
+            else:
+                rest.append(cm)
+        rest.append(merged)
+        nidx, nsig, nalf = idx | 1 << j, sig | g, alf | alphas[j]
+        witness = visit(nidx, nsig, nalf, rest)
+        if witness:
+            found, cap = witness, size
+        elif size + 1 < cap:
+            stack.append((j + 1, nidx, nsig, nalf, rest))
     return found, spent
 
 
@@ -147,12 +145,11 @@ def check_intersection_property(assign: AlphaAssignment,
         raise ValueError(f"unknown mode {mode!r}")
     sigmas, alphas = assign.sigmas, assign.alphas
     sig_masks, alf_masks = _bitmasks(sigmas, alphas)
+    everyone = (1 << len(sigmas)) - 1
 
     def visit(idx, sig, alf, comps):
-        for p, (sp, ap) in enumerate(zip(sig_masks, alf_masks)):
-            if idx >> p & 1:
-                continue
-            inter_s, inter_a = sig & sp, alf & ap
+        for p in _bits(everyone & ~idx):  # one unit each, as the walk counts
+            inter_s, inter_a = sig & sig_masks[p], alf & alf_masks[p]
             if not inter_s and inter_a:
                 overlap = set().union(*_names(idx, alphas)) & alphas[p]
                 return {"I": _names(idx, sigmas), "p": sorted(sigmas[p]),

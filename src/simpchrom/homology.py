@@ -6,10 +6,18 @@ a Smith normal form computed by exact elimination over the sparse lines of
 the shorter side.  Boundary entries are 0 and +-1, so nearly every pivot is
 a unit and the lines stay short.  No modular tricks, and no dense row: a
 matrix is its sparse rows and its width, and only the benchmark reads the
-dense ``entries`` view, built on first read.  The face-count and SNF size
-guards read the face counts alone, and ``boundary_matrix`` checks them
-before a matrix is built; so ``reduced_homology`` builds every matrix, each
-checked once, before its first SNF.
+dense ``entries`` view, built on first read.
+
+One guard, ``matrix_size``, bounds the short side of an SNF matrix:
+``reduced_homology`` reads it off ``S.f_vector`` for every d_k before the
+face table is grown, and ``boundary_matrix`` and ``smith_normal_form``
+check the matrices they are given.  The long side needs no bound.  With f_i
+faces of size i, d_k is f_k x f_(k+1); a face of size k + 1 has k + 1 faces
+of size k, each in at most n - k faces of size k + 1, so on n <= 25
+vertices (``vertex_count``) f_(k+1) <= f_k (n - k) / (k + 1).  A d_k with
+at most 500 rows then has at most 3,833 columns, and one with at most 500
+columns and over 5,000 rows follows a d_(k-1) whose over 5,000 columns
+need over 500 rows, refused first.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from math import gcd, lcm
 from .complexes import SimplicialComplex
 from .report import check_limit
 
-FACE_COUNT_LIMIT = 5000
 SNF_DIMENSION_LIMIT = 500
 
 
@@ -67,7 +74,7 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
     if k < 0 or k > S.dimension:
         raise ValueError(f"degree {k} outside 0..{S.dimension}")
     rows, cols = S.faces_by_size[k], S.faces_by_size[k + 1]
-    _check_boundary_size(len(rows), len(cols))
+    _check_snf_size(len(rows), len(cols))
     row_index = {m: i for i, m in enumerate(rows)}
     out = [[] for _ in rows]
     for j, c in enumerate(cols):
@@ -77,13 +84,6 @@ def boundary_matrix(S: SimplicialComplex, k: int) -> IntegerMatrix:
             out[row_index[c ^ low]].append((j, sign))
             sign, rest = -sign, rest ^ low
     return IntegerMatrix(tuple(map(tuple, out)), len(cols))
-
-
-def _check_boundary_size(nrows: int, ncols: int) -> None:
-    """Both guards of a boundary matrix, from its face counts alone."""
-    check_limit("face_count", max(nrows, ncols), FACE_COUNT_LIMIT,
-                "faces of one size")
-    _check_snf_size(nrows, ncols)
 
 
 def _check_snf_size(nrows: int, ncols: int) -> None:
@@ -159,21 +159,22 @@ def reduced_homology(S: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ..
     """Per-degree (betti rank, torsion invariants) of the reduced complex.
 
     rank H_k = #k-faces - rank d_k - rank d_(k+1); the torsion in degree k is
-    the set of invariant factors of d_(k+1) exceeding 1.  Every matrix is
-    built, and so passes its guards, before the first SNF.
+    the set of invariant factors of d_(k+1) exceeding 1.  Every d_k passes
+    its guard off the f-vector before the face table is grown.
     """
     dim = S.dimension
     if dim < 0:
         # only the empty face: a single Z in degree -1
         return {-1: (1, ())}
-    faces = S.faces_by_size
-    matrices = [boundary_matrix(S, k) for k in range(dim + 1)]
-    snf = {k: smith_normal_form(M) for k, M in enumerate(matrices)}
+    f = S.f_vector
+    for k in range(dim + 1):
+        _check_snf_size(f[k], f[k + 1])
+    snf = {k: smith_normal_form(boundary_matrix(S, k)) for k in range(dim + 1)}
     out = {}
     for k in range(dim + 1):
         rank_in = len(snf.get(k + 1, ()))
         rank_out = len(snf[k])
-        betti = len(faces[k + 1]) - rank_out - rank_in
+        betti = f[k + 1] - rank_out - rank_in
         torsion = tuple(d for d in snf.get(k + 1, ()) if d > 1)
         out[k] = (betti, torsion)
     return out

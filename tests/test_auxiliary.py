@@ -1,6 +1,7 @@
 """Companion-set checks, alpha search, lifts, and the reversed-numerator identity."""
 
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -632,6 +633,44 @@ def test_an_apex_shape_broken_at_one_alpha_is_walked(monkeypatch):
             assert calls == ["_invariant_by_state", "_walk"]
             assert not rep.passed
             assert rep.witness == brute_target_invariant(broken)
+
+
+def test_a_walk_past_the_recursion_limit_ends_on_search_nodes(monkeypatch):
+    # U(13,6)'s apex lift and one disjoint pair: not apex-shaped, so the
+    # target invariant walks it, and the walk goes down one pair per subset
+    S, lift = lift_with_apex(uniform_matroid_complex(13, 6))
+    assign = AlphaAssignment(lift.pairs + ((fs("y", "z"), fs("y")),))
+    assert len(assign) == 1717 > sys.getrecursionlimit()
+    monkeypatch.setattr(auxiliary, "SEARCH_NODE_LIMIT", 5000)
+    for check, measured, what in (
+            (check_target_invariant, 5001, "subsets walked by the target invariant"),
+            # 1716 + 1715 + 1714 pair tests outside I = {0}, {0, 1}, {0, 1, 2}
+            (check_intersection_property, 5145, "pair tests by the intersection scan")):
+        with pytest.raises(GuardError) as exc:
+            check(assign)
+        err = exc.value
+        assert (err.limit, err.measured, str(err)) == (
+            "search_nodes", measured, f"{measured} {what} exceed the 5000 limit")
+
+
+def test_the_intersection_scan_tests_the_pairs_it_counts(monkeypatch):
+    # each visit of I tests the r - |I| pairs outside I, one unit each, and
+    # no pair inside I: r 2^(r-1) - r tests on a passing walk of r pairs
+    tested = []
+    bits = auxiliary._bits
+
+    def counted(mask):
+        for p in bits(mask):
+            tested.append(p)
+            yield p
+
+    monkeypatch.setattr(auxiliary, "_bits", counted)
+    for r in range(1, 8):
+        tested.clear()
+        assert check_intersection_property(AlphaAssignment(disjoint_pairs(r))).passed
+        assert len(tested) == r * 2 ** (r - 1) - r
+    monkeypatch.setattr(auxiliary, "SEARCH_NODE_LIMIT", 7 * 2 ** 6 - 7)
+    assert check_intersection_property(AlphaAssignment(disjoint_pairs(7))).passed
 
 
 def test_search_alpha_node_guard_counts_walked_subsets(monkeypatch):

@@ -104,6 +104,11 @@ FILES = {
     "u16-4.json": {"vertices": [f"v{i:02d}" for i in range(16)],
                    "facets": [list(c) for c in combinations(
                        [f"v{i:02d}" for i in range(16)], 4)]},
+    # the boundary of the 11-dimensional cross-polytope, 11 antipodal pairs:
+    # d_3, 1320 x 5280, is the first matrix past the SNF limit
+    "cross-polytope-11.json": {"vertices": [f"v{i:02d}" for i in range(22)],
+                               "minimal_nonfaces": [[f"v{i:02d}", f"v{i + 1:02d}"]
+                                                    for i in range(0, 22, 2)]},
     # the apex lift of U(7,4): 21 nonfaces; verify-cc and hilb-window decide
     # c(I) = a from pairs of them
     "u7-4-apex.json": {"vertices": [f"v{i}" for i in range(1, 8)] + ["q"],
@@ -242,6 +247,7 @@ RUNS = {
     "guard-vertices-nonfaces-hilbert": ["hilbert", "wide-nonfaces.json"],
     "guard-vertices-nonfaces-homology": ["homology", "wide-nonfaces.json"],
     "guard-matrix-size": ["homology", "u16-4.json"],
+    "homology-cross-polytope-11": ["homology", "cross-polytope-11.json"],
     "lift-apex-26-vertices": ["lift", "wide-lift.json", "--mode", "apex"],
     "guard-vertices-disjoint-lift": ["lift", "wide-lift.json", "--mode",
                                      "disjoint"],
@@ -422,6 +428,8 @@ DIGESTS = {
         "38d7beb90785f6ccade26552f4d08a29d26ffb8914202b30813efbd59027fac7",
     "homology":
         "f4edc6222e03a59a455c1bf2a437ce5311df3b02bb6e20d4c61957b2541f6f0d",
+    "homology-cross-polytope-11":
+        "a239ed7fed29c84e348ea6dbdd5e31c356b76e8aa6be54fcf6b5a935187870cb",
     "lift-apex-26-vertices":
         "b8e8c345a13f8af723cc9a702408d91fc8873c11d18c25e74474836f04cd3714",
     "lift-apex-free-vertex":

@@ -4,14 +4,15 @@ import random
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain, combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from simpchrom import complexes, homology
 from simpchrom.analysis import uniform_matroid_complex
-from simpchrom.complexes import SimplicialComplex
+from simpchrom.complexes import NonfaceFamily, SimplicialComplex
 from simpchrom.cyclotomic import CyclotomicSpec, check_constant_term_detection
+from simpchrom.hilbert import numerator_by_inclusion_exclusion
 from simpchrom.homology import (IntegerMatrix, boundary_matrix, reduced_homology,
                                 smith_normal_form)
 from simpchrom.report import GuardError
@@ -342,17 +343,6 @@ def test_invariant_count_matches_rational_rank():
         assert len(smith_normal_form(dense_matrix(m))) == _rational_rank(m)
 
 
-def test_face_count_guard(monkeypatch):
-    monkeypatch.setattr(homology, "FACE_COUNT_LIMIT", 8)
-    assert boundary_matrix(octahedron(), 0).ncols == 6
-    for k in (1, 2):  # 6 x 12 and 12 x 8: the 12 edges exceed the limit
-        with pytest.raises(GuardError) as exc:
-            boundary_matrix(octahedron(), k)
-        err = exc.value
-        assert (err.limit, err.measured, err.bound, str(err)) == (
-            "face_count", 12, 8, "12 faces of one size exceed the 8 limit")
-
-
 def test_matrix_size_guard_fires_before_the_matrix_is_built(monkeypatch):
     u = uniform_matroid_complex(16, 4)
     assert boundary_matrix(u, 2).nrows == 120  # 120 x 560: short side 120
@@ -401,26 +391,134 @@ def test_reduced_homology_guards_fire_before_any_snf(monkeypatch):
     assert (err.limit, err.measured, err.bound, str(err)) == (
         "matrix_size", 560, 500,
         "560 lines on the short side of an SNF matrix exceed the 500 limit")
-    monkeypatch.setattr(homology, "FACE_COUNT_LIMIT", 8)
-    with pytest.raises(GuardError) as exc:
-        reduced_homology(octahedron())  # d_0 is 1 x 6, d_1 6 x 12
-    err = exc.value
-    assert (err.limit, err.measured, err.bound, str(err)) == (
-        "face_count", 12, 8, "12 faces of one size exceed the 8 limit")
     assert calls == []
 
 
 def test_reduced_homology_checks_each_matrix_once(monkeypatch):
     calls = []
-    check = homology._check_boundary_size
+    check = homology._check_snf_size
 
     def counted(nrows, ncols):
         calls.append((nrows, ncols))
         check(nrows, ncols)
 
-    monkeypatch.setattr(homology, "_check_boundary_size", counted)
+    monkeypatch.setattr(homology, "_check_snf_size", counted)
     assert reduced_homology(octahedron())[1] == (0, ())
-    assert calls == [(1, 6), (6, 12), (12, 8)]
+    # each matrix once in the f-vector pass, before any is built; then
+    # boundary_matrix and smith_normal_form each check what they are given
+    assert calls == [(1, 6), (6, 12), (12, 8),
+                     (1, 6), (1, 6), (6, 12), (6, 12), (12, 8), (12, 8)]
+
+
+def cross_polytope(d):
+    """The boundary of the d-dimensional cross-polytope: d antipodal pairs."""
+    labels = [f"v{i:02d}" for i in range(2 * d)]
+    return SC.from_minimal_nonfaces(labels, [labels[i:i + 2]
+                                             for i in range(0, 2 * d, 2)])
+
+
+def wide_nonfaces(n):
+    """26 random 9-element minimal nonfaces on n vertices, as the CI's wide
+    inputs draw them."""
+    rng = random.Random(1)
+    labels = [f"v{i:02d}" for i in range(n)]
+    gens = set()
+    while len(gens) < 26:
+        gens.add(tuple(sorted(rng.sample(labels, 9))))
+    return labels, sorted(gens)
+
+
+def f_from_numerator(K, n):
+    """f_i, the faces of size i, from K(t) = sum_i f_i t^i (1 - t)^(n - i),
+    solved degree by degree: no face is enumerated."""
+    f = []
+    for j in range(n + 1):
+        f.append(K[j] - sum(x * comb(n - i, j - i) * (-1) ** (j - i)
+                            for i, x in enumerate(f)))
+    while not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
+FACE_COUNT_LIMIT = 5000  # the long-side bound that homology.py dropped
+
+
+def first_refused(f, long_side):
+    """The k of the first d_k, f_k x f_(k+1), whose short side exceeds
+    matrix_size, or with long_side whose long side exceeds 5,000; or None."""
+    for k in range(len(f) - 1):
+        short, long = sorted(f[k:k + 2])
+        if short > homology.SNF_DIMENSION_LIMIT or (
+                long_side and long > FACE_COUNT_LIMIT):
+            return k
+    return None
+
+
+def test_the_long_side_bound_refuses_no_other_matrix():
+    # any caller that builds d_0, d_1, ... in order meets the first refusal
+    # of both bounds at the same matrix as that of matrix_size alone
+    samples = [tuple(comb(n, i) for i in range(k + 1))  # U(n, k)
+               for n in range(1, 26) for k in range(1, n + 1)]
+    samples += [tuple(2 ** i * comb(d, i) for i in range(d + 1))
+                for d in range(1, 13)]  # cross-polytope boundaries
+    wide = {}
+    for n in (18, 20, 22):
+        _, gens = wide_nonfaces(n)
+        wide[n] = f_from_numerator(
+            numerator_by_inclusion_exclusion(NonfaceFamily(gens)), n)
+    assert wide[18] == SC.from_minimal_nonfaces(*wide_nonfaces(18)).f_vector
+    assert sum(wide[22]) == 4032137
+    samples += wide.values()
+    rng = random.Random(5)
+    samples += [random_complex(rng, n_min=10, n_max=16, r_max=8,
+                               size_max=8).f_vector for _ in range(40)]
+    renamed = 0
+    for f in samples:
+        n = f[1]  # every vertex is a face in these samples
+        assert all(f[k + 1] * (k + 1) <= f[k] * (n - k)
+                   for k in range(len(f) - 1)), f
+        k = first_refused(f, long_side=False)
+        assert first_refused(f, long_side=True) == k, f
+        if k is not None and max(f[k:k + 2]) > FACE_COUNT_LIMIT:
+            renamed += 1  # a refusal the long side named first
+    assert renamed > 10
+    for n, short in ((18, 816), (20, 1140), (22, 1540)):
+        k = first_refused(wide[n], long_side=False)
+        assert min(wide[n][k:k + 2]) == short
+    assert sum(first_refused(f, False) is None for f in samples[-40:]) > 5
+    assert sum(first_refused(f, False) is not None for f in samples[-40:]) > 5
+
+
+@pytest.mark.parametrize("d, short", [(8, 1120), (10, 960), (11, 1320),
+                                      (12, 1760)])
+def test_reduced_homology_refuses_before_the_face_table(d, short, monkeypatch):
+    def unbuilt(s):
+        raise AssertionError("face table grown past the SNF limit")
+
+    table = cached_property(unbuilt)
+    table.__set_name__(SC, "faces_by_size")
+    monkeypatch.setattr(SC, "faces_by_size", table)
+    with pytest.raises(GuardError) as exc:
+        reduced_homology(cross_polytope(d))
+    err = exc.value
+    assert (err.limit, err.measured, err.bound, str(err)) == (
+        "matrix_size", short, 500,
+        f"{short} lines on the short side of an SNF matrix exceed the 500 limit")
+
+
+def test_a_tall_boundary_matrix_out_of_order_is_built():
+    # every 4-subset of 21 vertices and one 5-set: d_4 is 5,985 x 1, built
+    # when asked for alone, while reduced_homology stops at d_3, 1,330 x 5,985
+    labels = [f"v{i:02d}" for i in range(21)]
+    s = SC.from_facets(labels, [labels[:5]] + [list(c) for c in combinations(
+        labels, 4) if not set(c) <= set(labels[:5])])
+    assert s.f_vector[3:] == (1330, 5985, 1)
+    top = boundary_matrix(s, 4)
+    assert (top.nrows, top.ncols) == (5985, 1)
+    assert sorted(x for line in top.sparse_rows for _, x in line) == [-1, -1, 1, 1, 1]
+    with pytest.raises(GuardError) as exc:
+        reduced_homology(s)
+    assert (exc.value.limit, exc.value.measured) == ("matrix_size", 1330)
 
 
 def test_matrix_size_guard_in_smith_normal_form(monkeypatch):
