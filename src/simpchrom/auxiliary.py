@@ -35,7 +35,10 @@ from .report import CheckReport, NOT_APPLICABLE, STATE_LIMIT, check_limit, repor
 LITERAL = "literal"
 STRICT = "strict"
 
-SEARCH_NODE_LIMIT = 10 ** 7  # walker units, about 10 s at ~1 us per unit
+# walker units; a unit's cost grows with the width of the masks, so the
+# limit is about 7 s away on a 14-label apex lift (0.74 us per unit) and
+# about 30 s at 2,200 labels (about 3 us per unit)
+SEARCH_NODE_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)

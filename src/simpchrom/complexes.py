@@ -11,8 +11,10 @@ minimal nonfaces (the squarefree-ideal generators), and derives the other
 exactly on first use, where the vertex guard sits; so work that reads only
 the nonfaces never dualizes.  The face closure takes one of two routes
 with the same result: a dense complex, whose 2^n sets number at most 8 times
-its facets' subsets, is closed as one 2^n-bit map in n big-integer passes; a
-sparser one by a stack walk over its faces.
+its facets' subsets, is closed as one 2^n-bit map in n big-integer passes and
+kept as that map, a ``FaceMap``, whose face count and f-vector are read off
+the map and whose set of face masks is built only when a face is looked up;
+a sparser one by a stack walk over its faces into a set.
 
 A complex is "strict" when every vertex is a face.  ``relaxed=True`` lets
 the checked constructors admit formal vertices that are nonfaces, as an
@@ -33,8 +35,9 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 from .report import check_limit
@@ -136,6 +139,7 @@ def _grown(masks, n: int):
 
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 _NONZERO_RUN = re.compile(rb"[^\x00]{1,512}")  # a slice: 4,096 faces at most
+_CHUNK = 16  # the map is counted by size 2^16 bits (8 KB) at a time
 
 
 def _face_map(facet_masks, n: int) -> int:
@@ -154,21 +158,87 @@ def _face_map(facet_masks, n: int) -> int:
     return bitmap
 
 
-def _downward_closure(facet_masks, n: int) -> set[int]:
-    """Every subset of a facet, in a new set, by one of two routes.
+def _map_faces(bitmap: int, n: int) -> set[int]:
+    """The set bits of a 2^n-bit map as a set of ints, read off its nonzero
+    bytes a bounded slice at a time, so no list of every face stands beside
+    the set."""
+    faces = set()
+    data = bitmap.to_bytes((1 << n) + 7 >> 3, "little")
+    for run in _NONZERO_RUN.finditer(data):
+        at = range(8 * run.start(), 8 * run.end(), 8)  # the set at bit 0 of each byte
+        faces.update([k + j for k, byte in zip(at, run[0]) for j in _BYTE_BITS[byte]])
+    return faces
+
+
+@cache
+def _size_patterns() -> tuple[int, ...]:
+    """Entry s is the 2^16-bit map of the s-vertex subsets of 16 vertices,
+    doubled from the maps over 15: a subset without vertex 15 keeps its bit,
+    one with it sits 2^15 bits up and has one vertex more.  Its low 2^c bits
+    are the map over c vertices, for any c <= 16."""
+    patterns = [1]
+    for k in range(_CHUNK):
+        patterns = [p | q << (1 << k) for p, q in zip(patterns + [0], [0] + patterns)]
+    return tuple(patterns)
+
+
+class FaceMap(Set):
+    """The faces of a dense complex as a read-only set of masks, kept as
+    their 2^n-bit map: bit m of ``bitmap`` is set when m is a face.
+
+    The count and the counts by size are read off the map.  The set of face
+    masks is built on the first iteration or membership test and kept as
+    ``members``; a loop that tests many masks reads that set directly."""
+
+    def __init__(self, bitmap: int, n: int):
+        self.bitmap, self.n = bitmap, n
+
+    def __len__(self):
+        return self.bitmap.bit_count()
+
+    @cached_property
+    def members(self) -> set[int]:
+        return _map_faces(self.bitmap, self.n)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __contains__(self, mask):
+        return mask in self.members
+
+    @classmethod
+    def _from_iterable(cls, masks):
+        return set(masks)  # what &, | and - return, as a dict view does
+
+    def counts_by_size(self) -> list[int]:
+        """Entry k counts the k-vertex faces.  The map is cut into chunks of
+        2^c bits, c = min(n, 16); each chunk holds the sets with one choice
+        of the vertices above c, so ANDing it with the size patterns of the
+        low c vertices and counting bits gives its faces by size, shifted by
+        the popcount of its high bits."""
+        c = min(self.n, _CHUNK)
+        patterns, step = _size_patterns()[:c + 1], 1 << _CHUNK - 3
+        data = memoryview(self.bitmap.to_bytes((1 << self.n) + 7 >> 3, "little"))
+        counts = [0] * (self.n + 1)
+        for high in range(1 << self.n - c):
+            chunk = int.from_bytes(data[high * step:(high + 1) * step], "little")
+            if chunk:
+                shift = high.bit_count()
+                for s, p in enumerate(patterns):
+                    counts[s + shift] += (chunk & p).bit_count()
+        return counts
+
+
+def _downward_closure(facet_masks, n: int) -> Set[int]:
+    """Every subset of a facet, by one of two routes.
 
     A dense complex, 2^n <= 8 * sum of 2^|f| over the facets f, is closed as
-    one ``_face_map`` and read off its nonzero bytes a bounded slice at a time,
-    so no list of every face stands beside the set.  The map costs O(n 2^n)
-    whatever the face count, so a sparser complex takes a stack walk, where a
+    one ``_face_map`` and kept as that map, a ``FaceMap``: its face count and
+    f-vector need no per-face set.  The map costs O(n 2^n) whatever the face
+    count, so a sparser complex takes a stack walk into a new set, where a
     face enters the stack once, when first met."""
     if 1 << n <= 8 * sum(1 << m.bit_count() for m in facet_masks):
-        faces = set()
-        data = _face_map(facet_masks, n).to_bytes((1 << n) + 7 >> 3, "little")
-        for run in _NONZERO_RUN.finditer(data):
-            at = range(8 * run.start(), 8 * run.end(), 8)  # the set at bit 0 of each byte
-            faces.update([k + j for k, byte in zip(at, run[0]) for j in _BYTE_BITS[byte]])
-        return faces
+        return FaceMap(_face_map(facet_masks, n), n)
     faces = set(facet_masks)
     stack = list(faces)
     while stack:
@@ -182,6 +252,12 @@ def _downward_closure(facet_masks, n: int) -> set[int]:
                 stack.append(sub)
             mm ^= b
     return faces
+
+
+def _face_set(faces: Set[int]) -> set[int]:
+    """The set of face masks behind either closure route, for loops of
+    membership tests that should not pay ``FaceMap.__contains__`` each."""
+    return faces.members if isinstance(faces, FaceMap) else faces
 
 
 @dataclass(frozen=True)
@@ -312,8 +388,9 @@ class SimplicialComplex:
     # -- face enumeration --------------------------------------------------
 
     @cached_property
-    def face_masks(self) -> set[int]:
-        """Every face: the closure's own set, shared, so never mutated."""
+    def face_masks(self) -> Set[int]:
+        """Every face, as the closure returned it: a ``FaceMap`` for a dense
+        complex, else a set; shared, so never mutated."""
         _check_vertex_count(self.n)
         return _downward_closure(self.facet_masks, self.n)
 
@@ -321,7 +398,7 @@ class SimplicialComplex:
     def faces_by_size(self) -> tuple[tuple[int, ...], ...]:
         """Face masks grouped by vertex count, entry i holding the i-vertex
         faces in lexicographic order, each group grown from the one before."""
-        faces, groups = self.face_masks, [(0,)]
+        faces, groups = _face_set(self.face_masks), [(0,)]
         for _ in range(self.dimension + 1):
             groups.append(tuple(g for g in _grown(groups[-1], self.n) if g in faces))
         return tuple(groups)
@@ -332,9 +409,13 @@ class SimplicialComplex:
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_{dim}); f_-1 = 1 counts the empty face."""
+        """(f_-1, f_0, ..., f_{dim}); f_-1 = 1 counts the empty face.  A face
+        map is counted by size as it stands; a face set face by face."""
+        faces = self.face_masks
+        if isinstance(faces, FaceMap):
+            return tuple(faces.counts_by_size()[:self.dimension + 2])
         counts = [0] * (self.dimension + 2)
-        for m in self.face_masks:
+        for m in faces:
             counts[m.bit_count()] += 1
         return tuple(counts)
 
@@ -342,7 +423,7 @@ class SimplicialComplex:
     def minimal_nonface_masks(self) -> tuple[int, ...]:
         """Derived: the sets grown from the faces that are nonfaces with every
         one-short subset a face."""
-        faces = self.face_masks
+        faces = _face_set(self.face_masks)
         return _sort_masks(g for g in _grown(faces, self.n) if g not in faces
                            and all(g ^ 1 << u in faces for u in _bits(g)))
 

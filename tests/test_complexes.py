@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from simpchrom.auxiliary import (auxiliary_complex, lift_disjoint,
                                  lift_with_apex, search_alpha)
 from simpchrom.chromatic import MERGE_VERTEX, tidied_contraction
 from simpchrom.complexes import NonfaceFamily, SimplicialComplex
+from simpchrom.hilbert import h_vector, numerator_from_h, standard_monomial_count
 from simpchrom.report import GuardError
 from simpchrom.sampling import random_complex
 
@@ -240,6 +242,104 @@ def test_both_closure_routes_equal_the_subset_scan(face_maps):
         assert face_maps == [s.n]
         assert s.face_masks == scan
         assert complexes._face_map(s.facet_masks, s.n).bit_count() == len(scan)
+
+
+def _dense_18(seed):
+    """Ten random 12-sets of 18 vertices: dense, so the map is counted in
+    four 2^16-bit chunks whose high bits differ."""
+    rng = random.Random(seed)
+    labels = [f"v{i:02d}" for i in range(18)]
+    return SC.from_facets(labels, [rng.sample(labels, 12) for _ in range(10)],
+                          relaxed=True)
+
+
+def _size_counts(faces, n):
+    counts = [0] * (n + 1)
+    for m in faces:
+        counts[m.bit_count()] += 1
+    return counts
+
+
+def test_the_map_f_vector_equals_a_count_over_the_face_set():
+    # 2^n copies of the facets force the map, as in the closure-route test
+    for s in _given_by_facets(53):
+        faces = complexes._downward_closure(s.facet_masks * (1 << s.n), s.n)
+        assert isinstance(faces, complexes.FaceMap)
+        counts = _size_counts(complexes._downward_closure(s.facet_masks, 64), s.n)
+        assert faces.counts_by_size() == counts
+        assert s.f_vector == tuple(counts[:s.dimension + 2])
+    for n in range(2, 19):
+        s = uniform_matroid_complex(n, n // 2)
+        assert isinstance(s.face_masks, complexes.FaceMap)
+        assert s.f_vector == tuple(comb(n, i) for i in range(n // 2 + 1))
+    s = _dense_18(11)
+    assert isinstance(s.face_masks, complexes.FaceMap)
+    assert s.face_masks.counts_by_size() == _size_counts(s.face_masks.members, 18)
+
+
+def test_the_face_map_reads_as_the_subset_scan():
+    samples = [s for s in _given_by_facets(59) if s.n <= 8]
+    for s in samples:
+        scan = {sum(1 << s.vertices.index(v) for v in sub)
+                for k in range(s.n + 1) for sub in combinations(s.vertices, k)
+                if is_face(s, sub)}
+        faces = complexes._downward_closure(s.facet_masks * (1 << s.n), s.n)
+        assert len(faces) == len(scan)
+        assert sorted(faces) == sorted(scan)
+        assert all((m in faces) == (m in scan) for m in range(1 << s.n))
+        top = (1 << s.n) - 1
+        assert not any(m in faces for m in (-1, 1 << s.n, top + 1 | top, 1 << 64))
+        assert faces == scan and scan == faces
+        assert faces != scan | {1 << s.n} and scan | {1 << s.n} != faces
+        assert faces & scan == scan and faces - scan == set() == scan - faces
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(faces)
+
+
+@pytest.fixture
+def face_sets(monkeypatch):
+    """The vertex count of every face map read off into a set of ints."""
+    calls = []
+    work = complexes._map_faces
+
+    def counted(bitmap, n):
+        calls.append(n)
+        return work(bitmap, n)
+
+    monkeypatch.setattr(complexes, "_map_faces", counted)
+    return calls
+
+
+def _by_facets(s):
+    """The same complex given by its facets, so its nonfaces are derived."""
+    return SC.from_facets(s.vertices, s.facets, relaxed=True)
+
+
+_FACE_READS = {
+    "nonfaces": lambda s: s.minimal_nonface_masks,
+    "table": lambda s: s.faces_by_size,
+    "iteration": lambda s: set(s.face_masks),
+    "membership": lambda s: 0 in s.face_masks,
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _by_facets(uniform_matroid_complex(12, 6)),
+    lambda: _by_facets(_direct_family(3)),
+    lambda: _dense_18(13),
+], ids=["U(12,6)", "lattice-direct", "dense-18"])
+@pytest.mark.parametrize("first", _FACE_READS)
+def test_counts_read_the_map_and_face_tests_build_one_set(face_sets, make, first):
+    s = make()
+    assert isinstance(s.face_masks, complexes.FaceMap)
+    len(s.face_masks), s.f_vector, h_vector(s), numerator_from_h(s)
+    [standard_monomial_count(s, m) for m in range(6)]
+    assert face_sets == []
+    _FACE_READS[first](s)
+    assert face_sets == [s.n]
+    for read in _FACE_READS.values():
+        read(s)
+    assert face_sets == [s.n]
 
 
 def _direct_family(seed):
